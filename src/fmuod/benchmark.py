@@ -8,6 +8,7 @@ changes any result.
 """
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,10 +34,10 @@ from .multivariate import (
     collect_votes,
     detect_marginal,
     detect_projection,
-    detect_projection_adaptive,
     detect_stringed,
     estimate_baselines,
     generate_directions,
+    select_thresholds,
 )
 from .seeding import child_seed
 from .simulation import SimulationSpec, generate
@@ -125,22 +126,17 @@ def run_method(
         )
     directions = generate_directions(config.n_directions, data.n_dims, seed)
     if config.method == METHOD_PROJECTION_ADAPTIVE:
-        return detect_projection_adaptive(
-            data,
-            directions,
-            config.baselines,
-            config.gamma,
-            config.eta,
-            config.variant,
-            config.cutoff,
-            config.location,
-            method=config.method,
+        thresholds = functools.partial(
+            select_thresholds, baselines=config.baselines, gamma=config.gamma, eta=config.eta
         )
-    shares = ANY_VOTE_THRESHOLDS if config.method == METHOD_PROJECTION_ANY else config.vote_shares
+    elif config.method == METHOD_PROJECTION_ANY:
+        thresholds = ANY_VOTE_THRESHOLDS
+    else:
+        thresholds = config.vote_shares
     return detect_projection(
         data,
         directions,
-        shares,
+        thresholds,
         config.variant,
         config.cutoff,
         config.location,

@@ -4,7 +4,7 @@ Subcommands
 -----------
 detect
     Flag outliers in a CSV dataset and write ``report.json`` plus a tidy
-    ``flags.csv`` (and optionally per-component index tables).
+    ``flags.csv`` (and optionally the index tables the flags were read from).
 simulate
     Draw a labelled synthetic dataset and write ``data.csv`` / ``truth.csv``.
 benchmark
@@ -42,10 +42,6 @@ from .multivariate import (
     SCALE_NONE,
     SCALES,
     ThresholdTriple,
-    generate_directions,
-    marginal_tables,
-    projection_tables,
-    stringed_table,
 )
 from .simulation import MODEL_IDS, SimulationSpec, generate
 
@@ -144,7 +140,7 @@ def cmd_detect(args) -> int:
     fio.write_report_json(report, out / "report.json", extra_config=echo)
     fio.write_flags_csv(report, out / "flags.csv")
     if args.emit_indices:
-        fio.write_index_tables_csv(_index_tables(data, args, config), out / "indices.csv")
+        fio.write_index_tables_csv(report.tables, out / "indices.csv")
     flags = report.flags
     print(
         f"{args.method}: flagged {len(flags.union)} of {report.n} curves "
@@ -158,22 +154,6 @@ def cmd_detect(args) -> int:
         )
     print(f"wrote {out / 'report.json'}")
     return 0
-
-
-def _index_tables(data, args, config):
-    if args.method == bench.METHOD_MARGINAL:
-        return [
-            (m, table)
-            for m, table in enumerate(marginal_tables(data, config.variant, config.location))
-        ]
-    if args.method == bench.METHOD_STRINGING:
-        return [("stringed", stringed_table(data, config.scale, config.variant, config.location))]
-    directions = generate_directions(args.directions, data.n_dims, args.seed)
-    return [
-        (l, table)
-        for l, table in projection_tables(data, directions, config.variant, config.location)
-        if table is not None
-    ]
 
 
 def cmd_simulate(args) -> int:
@@ -272,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--delimiter", default=",")
     _add_common_detection_flags(detect)
     detect.add_argument("--emit-indices", action="store_true",
-                        help="also write per-component index tables to indices.csv")
+                        help="also write the index tables the flags were read from "
+                             "to indices.csv")
     detect.add_argument("--out", required=True)
     detect.set_defaults(func=cmd_detect)
 

@@ -18,9 +18,6 @@ RULE_UPPER_ONLY = "upper_only"
 RULE_TWO_SIDED = "two_sided"
 RULES = (RULE_UPPER_ONLY, RULE_TWO_SIDED)
 
-#: Only linearly interpolated quartiles are supported.
-QUARTILES_LINEAR = "linear_interpolation"
-
 #: Minimum sample size for quartile-based cutoffs.
 MIN_CUTOFF_SAMPLE = 4
 
@@ -33,7 +30,6 @@ class CutoffSpec:
     shape_rule: str = RULE_UPPER_ONLY
     amplitude_rule: str = RULE_TWO_SIDED
     magnitude_rule: str = RULE_TWO_SIDED
-    quartile_method: str = QUARTILES_LINEAR
 
     def __post_init__(self):
         if not (np.isfinite(self.whisker_factor) and self.whisker_factor > 0):
@@ -41,8 +37,6 @@ class CutoffSpec:
         for rule in (self.shape_rule, self.amplitude_rule, self.magnitude_rule):
             if rule not in RULES:
                 raise InvalidConfig(f"unknown cutoff rule {rule!r}; use one of {RULES}")
-        if self.quartile_method != QUARTILES_LINEAR:
-            raise InvalidConfig(f"unsupported quartile method {self.quartile_method!r}")
 
     @classmethod
     def for_variant(cls, variant: str) -> "CutoffSpec":
@@ -96,6 +90,11 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED, whisker_factor: float = 1
     -----
     Quartiles use linear interpolation.  Values exactly on a fence are not
     flagged.
+
+    No minimum spread is applied.  When ties make the interquartile range
+    zero, both fences sit on the common quartile, so any value that differs
+    from it at all is flagged (a lone ``1e-300`` among zeros is), while a
+    sample whose values are all equal flags nothing.
     """
     if rule not in RULES:
         raise InvalidConfig(f"unknown cutoff rule {rule!r}; use one of {RULES}")

@@ -11,8 +11,11 @@ computations:
   is flagged as an outlier of a given type when the share of projections
   voting for it reaches that type's threshold.
 
-Thresholds for the projection vote can be fixed vote shares or can be chosen
-adaptively from the observed vote excess over baseline false-vote rates: with
+Every detector builds its index tables once, classifies or votes on them,
+and returns them on its report.  Thresholds for the projection vote can be
+fixed vote shares or can be chosen by a selector from the vote matrix, such
+as :func:`select_thresholds`, which reads the observed vote excess over
+baseline false-vote rates: with
 ``delta_T`` the excess vote share of type ``T`` and ``delta_C`` the excess
 share of curves receiving any vote, the threshold is
 ``tau_T = gamma_T - eta_T * clamp(delta_T / delta_C, 0, 1)``, falling back to
@@ -21,6 +24,7 @@ negative ratio).
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,7 +241,12 @@ def project(data: MultivariateFunctionalDataset, direction) -> FunctionalDataset
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """Outcome of one detection run."""
+    """Outcome of one detection run.
+
+    ``tables`` holds the ``(label, IndexTable)`` pairs the flags were read
+    from.  The label is the component index (marginal), ``"stringed"``
+    (stringing) or the direction index of each non-degenerate projection.
+    """
 
     method: str
     n: int
@@ -246,21 +255,11 @@ class OutlierReport:
     thresholds: ThresholdTriple | None = None
     degenerate_projections: int = 0
     config: dict = field(default_factory=dict)
+    tables: tuple = field(default=(), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
 # marginal detection
-
-
-def _classify_sample(
-    data: FunctionalDataset,
-    variant: str,
-    cutoff: CutoffSpec | None,
-    location: str,
-) -> FlagSet:
-    ref = reference_from_sample(data, location)
-    table = compute_index_table(data, ref, variant)
-    return classify_outliers(table, cutoff)
 
 
 def marginal_tables(
@@ -284,16 +283,21 @@ def detect_marginal(
     method: str = "FST_MAR",
 ) -> OutlierReport:
     """Classify per component and join the flags of each type across components."""
-    per_margin = [
-        _classify_sample(data.margin(m), variant, cutoff, location) for m in range(data.n_dims)
-    ]
+    tables = marginal_tables(data, variant, location)
+    per_margin = [classify_outliers(table, cutoff) for table in tables]
     flags = FlagSet(
         data.n,
         frozenset().union(*(f.shape_outliers for f in per_margin)),
         frozenset().union(*(f.amplitude_outliers for f in per_margin)),
         frozenset().union(*(f.magnitude_outliers for f in per_margin)),
     )
-    return OutlierReport(method, data.n, flags, config={"variant": variant, "location": location})
+    return OutlierReport(
+        method,
+        data.n,
+        flags,
+        config={"variant": variant, "location": location},
+        tables=tuple(enumerate(tables)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +351,13 @@ def detect_stringed(
     method: str = "FST_STR",
 ) -> OutlierReport:
     """Run the univariate pipeline on the stringed curves."""
-    strung = string_dimensions(data, scale)
-    flags = _classify_sample(strung, variant, cutoff, location)
+    table = stringed_table(data, scale, variant, location)
     return OutlierReport(
         method,
         data.n,
-        flags,
+        classify_outliers(table, cutoff),
         config={"scale": scale, "variant": variant, "location": location},
+        tables=(("stringed", table),),
     )
 
 
@@ -368,10 +372,14 @@ class VoteMatrix:
     ``votes[i, l, t]`` says projection ``l`` voted curve ``i`` an outlier of
     type ``TYPE_ORDER[t]``.  Projections whose reference curve was constant
     contribute no votes and are counted in ``degenerate_projections``.
+    ``tables`` holds the ``(l, IndexTable)`` pair of each non-degenerate
+    projection the votes were read from; it is empty for a matrix built from
+    votes alone.
     """
 
     votes: np.ndarray
     degenerate_projections: int = 0
+    tables: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         votes = np.asarray(self.votes)
@@ -450,15 +458,17 @@ def collect_votes(
     """Run the univariate pipeline per projection and record its votes."""
     votes = np.zeros((data.n, directions.n_directions, len(TYPE_ORDER)), dtype=bool)
     degenerate = 0
+    tables = []
     for l, table in projection_tables(data, directions, variant, location):
         if table is None:
             degenerate += 1
             continue
+        tables.append((l, table))
         flags = classify_outliers(table, cutoff)
         votes[list(flags.shape_outliers), l, 0] = True
         votes[list(flags.amplitude_outliers), l, 1] = True
         votes[list(flags.magnitude_outliers), l, 2] = True
-    return VoteMatrix(votes, degenerate)
+    return VoteMatrix(votes, degenerate, tuple(tables))
 
 
 def select_thresholds(
@@ -519,20 +529,26 @@ def select_thresholds(
 def detect_projection(
     data: MultivariateFunctionalDataset,
     directions: DirectionSet,
-    shares: ThresholdTriple = DEFAULT_VOTE_SHARES,
+    thresholds: ThresholdTriple | Callable[[VoteMatrix], ThresholdTriple] = DEFAULT_VOTE_SHARES,
     variant: str = VARIANT_STANDARD,
     cutoff: CutoffSpec | None = None,
     location: str = LOCATION_MEDIAN,
     method: str = "FST_PRJ1",
 ) -> OutlierReport:
-    """Projection vote with fixed vote-share thresholds."""
+    """Projection vote with fixed thresholds or thresholds chosen from the votes.
+
+    ``thresholds`` is either a :class:`ThresholdTriple` or a selector mapping
+    the :class:`VoteMatrix` to one, such as a :func:`functools.partial` of
+    :func:`select_thresholds`.
+    """
     votes = collect_votes(data, directions, variant, cutoff, location)
+    chosen = thresholds(votes) if callable(thresholds) else thresholds
     return OutlierReport(
         method,
         data.n,
-        votes.flags_at(shares),
+        votes.flags_at(chosen),
         proportions=votes.proportions,
-        thresholds=shares,
+        thresholds=chosen,
         degenerate_projections=votes.degenerate_projections,
         config={
             "n_directions": directions.n_directions,
@@ -540,36 +556,7 @@ def detect_projection(
             "variant": variant,
             "location": location,
         },
-    )
-
-
-def detect_projection_adaptive(
-    data: MultivariateFunctionalDataset,
-    directions: DirectionSet,
-    baselines: Baselines = REFERENCE_BASELINES,
-    gamma: tuple[float, float, float] = DEFAULT_GAMMA,
-    eta: tuple[float, float, float] = DEFAULT_ETA,
-    variant: str = VARIANT_STANDARD,
-    cutoff: CutoffSpec | None = None,
-    location: str = LOCATION_MEDIAN,
-    method: str = "FST_PRJ",
-) -> OutlierReport:
-    """Projection vote with thresholds selected from the vote excess."""
-    votes = collect_votes(data, directions, variant, cutoff, location)
-    thresholds = select_thresholds(votes, baselines, gamma, eta)
-    return OutlierReport(
-        method,
-        data.n,
-        votes.flags_at(thresholds),
-        proportions=votes.proportions,
-        thresholds=thresholds,
-        degenerate_projections=votes.degenerate_projections,
-        config={
-            "n_directions": directions.n_directions,
-            "direction_seed": directions.seed,
-            "variant": variant,
-            "location": location,
-        },
+        tables=votes.tables,
     )
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import fmuod.multivariate
 from fmuod import FunctionalDataset, Grid
 from fmuod.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PARSE, main
 from fmuod.io import read_baselines, write_wide_csv
@@ -72,17 +73,44 @@ def test_detect_wide_layout_with_marginal_method(tmp_path):
     assert report["thresholds"] is None
 
 
-def test_detect_emit_indices(tmp_path):
+@pytest.mark.parametrize(
+    "method, labels",
+    [
+        ("FST_MAR", ["0", "1", "2"]),
+        ("FST_STR", ["stringed"]),
+        ("FST_PRJ", [str(l) for l in range(12)]),
+    ],
+    ids=["FST_MAR", "FST_STR", "FST_PRJ"],
+)
+def test_detect_emit_indices(tmp_path, method, labels):
     out = simulate_into(tmp_path)
     det = tmp_path / "det"
     assert run(
         "detect", "--input", str(out / "data.csv"), "--layout", "long_multivariate",
-        "--method", "FST_STR", "--emit-indices", "--out", str(det),
+        "--method", method, "--directions", "12", "--emit-indices", "--out", str(det),
     ) == 0
     lines = (det / "indices.csv").read_text().strip().splitlines()
     assert lines[0] == "component,curve_id,shape,amplitude,magnitude"
-    assert len(lines) == 1 + 40
-    assert lines[1].split(",")[0] == "stringed"
+    components = [line.split(",", 1)[0] for line in lines[1:]]
+    assert components == [label for label in labels for _ in range(40)]
+
+
+def test_detect_emit_indices_projects_once_per_direction(tmp_path, monkeypatch):
+    out = simulate_into(tmp_path)
+    calls = []
+    original = fmuod.multivariate.project
+
+    def counting_project(data, direction):
+        calls.append(1)
+        return original(data, direction)
+
+    monkeypatch.setattr(fmuod.multivariate, "project", counting_project)
+    assert run(
+        "detect", "--input", str(out / "data.csv"), "--layout", "long_multivariate",
+        "--method", "FST_PRJ", "--directions", "12", "--emit-indices",
+        "--out", str(tmp_path / "det"),
+    ) == 0
+    assert len(calls) == 12
 
 
 def test_detect_explicit_taus(tmp_path):

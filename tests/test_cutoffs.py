@@ -43,6 +43,14 @@ def test_boxplot_fence_is_strict():
     assert boxplot_cutoff(sample, RULE_TWO_SIDED) == frozenset()
 
 
+def test_boxplot_zero_iqr_flags_any_departure_and_no_ties():
+    # ties make q1 == q3, so both fences sit on the tied value
+    spike = [0.0] * 9 + [1e-300]
+    assert boxplot_cutoff(spike, RULE_TWO_SIDED) == {9}
+    assert boxplot_cutoff(spike, RULE_UPPER_ONLY) == {9}
+    assert boxplot_cutoff([2.5] * 10, RULE_TWO_SIDED) == frozenset()
+
+
 def test_boxplot_needs_four_values():
     with pytest.raises(InsufficientData):
         boxplot_cutoff([1.0, 2.0, 3.0])
@@ -83,8 +91,6 @@ def test_cutoff_spec_validation():
         CutoffSpec(whisker_factor=np.inf)
     with pytest.raises(InvalidConfig):
         CutoffSpec(shape_rule="bogus")
-    with pytest.raises(InvalidConfig):
-        CutoffSpec(quartile_method="nearest")
 
 
 def test_cutoff_spec_for_variant():

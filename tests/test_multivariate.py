@@ -19,7 +19,6 @@ from fmuod import (
     compute_index_table,
     detect_marginal,
     detect_projection,
-    detect_projection_adaptive,
     detect_stringed,
     estimate_baselines,
     generate_directions,
@@ -413,15 +412,29 @@ def test_detect_projection_flags_clear_shifts():
     assert report.config["n_directions"] == 30
 
 
-def test_detect_projection_adaptive_selects_and_flags():
+def test_detect_projection_selector_selects_and_flags():
     data, truth = contaminated_mv()
     directions = generate_directions(30, 3, seed=0)
-    report = detect_projection_adaptive(data, directions)
+    report = detect_projection(data, directions, select_thresholds, method="FST_PRJ")
     assert truth <= report.flags.union
     assert report.method == "FST_PRJ"
     assert report.thresholds.selection is not None
     # clear magnitude contamination pulls the magnitude threshold down
     assert report.thresholds.magnitude < 0.7
+
+
+def test_detect_projection_fixed_and_selected_thresholds_share_votes_and_tables():
+    data, _ = contaminated_mv()
+    directions = generate_directions(30, 3, seed=0)
+    fixed = detect_projection(data, directions, ThresholdTriple(0.7, 0.7, 0.7))
+    selected = detect_projection(data, directions, select_thresholds)
+    np.testing.assert_array_equal(fixed.proportions, selected.proportions)
+    assert [l for l, _ in fixed.tables] == [l for l, _ in selected.tables] == list(range(30))
+    for (_, a), (_, b) in zip(fixed.tables, selected.tables):
+        for column in ("shape", "amplitude", "magnitude"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+    assert fixed.thresholds.selection is None
+    assert fixed.thresholds.by_type() != selected.thresholds.by_type()
 
 
 def test_estimate_baselines_deterministic():
