@@ -2,16 +2,12 @@
 
 A benchmark repeats ``generate -> detect -> score`` with per-repetition seeds
 derived from a master seed, then aggregates true- and false-positive rates
-(percentages) across repetitions.  Repetitions may run on a thread pool; the
-``FMUOD_THREADS`` environment variable caps the worker count and never
-changes any result.
+(percentages) across repetitions.  Repetitions run one after another.
 """
 from __future__ import annotations
 
 import functools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +15,7 @@ import numpy as np
 from .cutoffs import CutoffSpec
 from .datasets import MultivariateFunctionalDataset
 from .errors import InvalidConfig
-from .indices import LOCATION_MEDIAN, VARIANT_STANDARD, VARIANTS
+from .indices import LOCATION_MEDIAN, LOCATIONS, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
     ANY_VOTE_THRESHOLDS,
     DEFAULT_ETA,
@@ -28,6 +24,7 @@ from .multivariate import (
     REFERENCE_BASELINES,
     SCALE_NONE,
     SCALES,
+    TYPE_ORDER,
     Baselines,
     OutlierReport,
     ThresholdTriple,
@@ -35,7 +32,6 @@ from .multivariate import (
     detect_marginal,
     detect_projection,
     detect_stringed,
-    estimate_baselines,
     generate_directions,
     select_thresholds,
 )
@@ -63,22 +59,6 @@ SCOPES = (SCOPE_UNION, SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE)
 
 #: Default number of projection directions.
 DEFAULT_N_DIRECTIONS = 60
-
-THREADS_ENV = "FMUOD_THREADS"
-
-
-def worker_count() -> int:
-    """Thread-pool size: ``FMUOD_THREADS`` when set, else the CPU count."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return max(1, os.cpu_count() or 1)
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise InvalidConfig(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -108,6 +88,8 @@ class MethodConfig:
             raise InvalidConfig(f"unknown scale {self.scale!r}; use one of {SCALES}")
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"unknown variant {self.variant!r}; use one of {VARIANTS}")
+        if self.location not in LOCATIONS:
+            raise InvalidConfig(f"unknown location {self.location!r}; use one of {LOCATIONS}")
 
 
 def run_method(
@@ -221,15 +203,6 @@ def _sd(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
-def _map_reps(fn, reps: int):
-    """Apply ``fn`` to every repetition index, possibly on a thread pool."""
-    workers = min(worker_count(), reps)
-    if workers <= 1:
-        return [fn(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(reps)))
-
-
 def _rep_seeds(master_seed: int, rep: int) -> tuple[int, int]:
     return child_seed(master_seed, rep, 0), child_seed(master_seed, rep, 1)
 
@@ -246,8 +219,8 @@ def run_benchmark(
     """Repeat generate/detect/score and collect the rates.
 
     Repetition ``r`` generates with seed ``(seed, r, 0)`` and detects with
-    direction seed ``(seed, r, 1)``, so results do not depend on the worker
-    count or on which other repetitions run.
+    direction seed ``(seed, r, 1)``, so its rates do not depend on how many
+    repetitions run.
     """
     if reps < 1:
         raise InvalidConfig("benchmark needs at least one repetition")
@@ -259,7 +232,7 @@ def run_benchmark(
         report = run_method(labeled.data, config, method_seed)
         return score_flags(scoped_flags(report, config.report_scope), labeled.outlier_indices, n)
 
-    pairs = _map_reps(one_rep, reps)
+    pairs = [one_rep(r) for r in range(reps)]
     tpr = np.array([p[0] for p in pairs])
     fpr = np.array([p[1] for p in pairs])
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
@@ -343,7 +316,7 @@ def threshold_sweep(
             fpr_row[s] = score_flags(flagged, labeled.outlier_indices, n)[1]
         return f1_row, fpr_row
 
-    rows = _map_reps(one_rep, reps)
+    rows = [one_rep(r) for r in range(reps)]
     f1 = np.stack([row[0] for row in rows])
     fpr = np.stack([row[1] for row in rows])
     return [
@@ -359,12 +332,29 @@ def estimate_null_baselines(
     n_directions: int = DEFAULT_N_DIRECTIONS,
     seed: int = 0,
 ) -> Baselines:
-    """Estimate false-vote baselines from the outlier-free model."""
+    """Average false-vote shares over repeated samples of the outlier-free model.
 
-    def sample(data_seed: int) -> MultivariateFunctionalDataset:
-        return generate(SimulationSpec("M0", n, k, 0.0, data_seed)).data
-
-    return estimate_baselines(sample, reps, n_directions, seed)
+    Repetition ``r`` draws M0 data with seed ``(seed, r, 0)`` and directions
+    with seed ``(seed, r, 1)``.
+    """
+    if reps < 1:
+        raise InvalidConfig("baseline estimation needs at least one repetition")
+    type_sums = np.zeros(len(TYPE_ORDER))
+    union_sum = 0.0
+    for r in range(reps):
+        data_seed, method_seed = _rep_seeds(seed, r)
+        data = generate(SimulationSpec("M0", n, k, 0.0, data_seed)).data
+        directions = generate_directions(n_directions, data.n_dims, method_seed)
+        votes = collect_votes(data, directions)
+        type_sums += np.asarray(votes.type_shares())
+        union_sum += votes.union_share()
+    type_means = type_sums / reps
+    return Baselines(
+        shape=float(type_means[0]),
+        amplitude=float(type_means[1]),
+        magnitude=float(type_means[2]),
+        union=union_sum / reps,
+    )
 
 
 def format_result_table(results) -> str:

@@ -41,6 +41,7 @@ from .multivariate import (
     REFERENCE_BASELINES,
     SCALE_NONE,
     SCALES,
+    Baselines,
     ThresholdTriple,
 )
 from .simulation import MODEL_IDS, SimulationSpec, generate
@@ -48,6 +49,9 @@ from .simulation import MODEL_IDS, SimulationSpec, generate
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_DEGENERATE = 4
+
+#: The one method whose vote shares the ``--tau-*`` flags set.
+TAU_METHOD = bench.METHOD_PROJECTION_FIXED
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,17 +91,17 @@ def _parse_share_grid(raw: str) -> list[ThresholdTriple]:
     return triples
 
 
-def _method_config(args, methods_needing_taus=("FST_PRJ1",)) -> dict:
-    """Shared translation of tau/baseline flags, keyed by method."""
+def _method_config(args) -> tuple[ThresholdTriple, Baselines]:
+    """Vote shares and baselines from the tau/baseline flags."""
     taus = (args.tau_shape, args.tau_amplitude, args.tau_magnitude)
     have = [v is not None for v in taus]
     if any(have) and not all(have):
         raise InvalidConfig("pass all of --tau-shape/--tau-amplitude/--tau-magnitude or none")
-    if any(have) and args.method not in methods_needing_taus:
-        raise InvalidConfig(f"--tau-* applies only to {'/'.join(methods_needing_taus)}")
+    if any(have) and args.method != TAU_METHOD:
+        raise InvalidConfig(f"--tau-* applies only to {TAU_METHOD}")
     shares = ThresholdTriple(*taus) if all(have) else DEFAULT_VOTE_SHARES
     baselines = fio.read_baselines(args.baselines) if args.baselines else REFERENCE_BASELINES
-    return {"vote_shares": shares, "baselines": baselines}
+    return shares, baselines
 
 
 def _add_common_detection_flags(sub) -> None:
@@ -119,12 +123,12 @@ def _add_common_detection_flags(sub) -> None:
 
 def cmd_detect(args) -> int:
     data = fio.read_dataset(args.input, args.layout, args.delimiter)
-    extras = _method_config(args)
+    shares, baselines = _method_config(args)
     config = bench.MethodConfig(
         method=args.method,
         n_directions=args.directions,
-        vote_shares=extras["vote_shares"],
-        baselines=extras["baselines"],
+        vote_shares=shares,
+        baselines=baselines,
         scale=args.scale,
         variant=args.variant,
         location=args.location,
@@ -246,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    detect = subs.add_parser("detect", parents=[], help="flag outliers in a CSV dataset")
+    detect = subs.add_parser("detect", help="flag outliers in a CSV dataset")
     detect.add_argument("--input", required=True)
     detect.add_argument("--layout", required=True, choices=fio.LAYOUTS)
     detect.add_argument("--delimiter", default=",")

@@ -39,7 +39,7 @@ from .indices import (
     compute_index_table,
     reference_from_sample,
 )
-from .seeding import child_rng, child_seed
+from .seeding import child_rng
 
 #: Order of the index types along the last axis of vote matrices and
 #: proportion arrays.
@@ -557,47 +557,4 @@ def detect_projection(
             "location": location,
         },
         tables=votes.tables,
-    )
-
-
-def estimate_baselines(
-    sample,
-    reps: int,
-    n_directions: int = 60,
-    seed: int = 0,
-    variant: str = VARIANT_STANDARD,
-    cutoff: CutoffSpec | None = None,
-    location: str = LOCATION_MEDIAN,
-) -> Baselines:
-    """Average false-vote shares over repeated outlier-free samples.
-
-    Parameters
-    ----------
-    sample : callable
-        ``sample(seed) -> MultivariateFunctionalDataset`` producing
-        outlier-free data.
-    reps : int
-        Number of repetitions to average over.
-    n_directions : int
-        Directions per repetition.
-    seed : int
-        Master seed; repetition ``r`` uses data seed ``(seed, r, 0)`` and
-        direction seed ``(seed, r, 1)``.
-    """
-    if reps < 1:
-        raise InvalidConfig("baseline estimation needs at least one repetition")
-    type_sums = np.zeros(len(TYPE_ORDER))
-    union_sum = 0.0
-    for r in range(reps):
-        data = sample(child_seed(seed, r, 0))
-        directions = generate_directions(n_directions, data.n_dims, child_seed(seed, r, 1))
-        votes = collect_votes(data, directions, variant, cutoff, location)
-        type_sums += np.asarray(votes.type_shares())
-        union_sum += votes.union_share()
-    type_means = type_sums / reps
-    return Baselines(
-        shape=float(type_means[0]),
-        amplitude=float(type_means[1]),
-        magnitude=float(type_means[2]),
-        union=union_sum / reps,
     )

@@ -20,33 +20,11 @@ from fmuod.benchmark import (
     METHODS,
     SCOPE_MAGNITUDE,
     SCOPE_UNION,
-    THREADS_ENV,
     estimate_null_baselines,
-    worker_count,
 )
 from fmuod.multivariate import OutlierReport
 from fmuod.cutoffs import FlagSet
 from fmuod.simulation import SimulationSpec, generate
-
-
-# ---------------------------------------------------------------------------
-# workers
-
-
-def test_worker_count_env_override(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert worker_count() >= 1
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert worker_count() == 3
-
-
-def test_worker_count_rejects_bad_values(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(InvalidConfig):
-        worker_count()
-    monkeypatch.setenv(THREADS_ENV, "many")
-    with pytest.raises(InvalidConfig):
-        worker_count()
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +89,8 @@ def test_method_config_validation():
         MethodConfig(method="FST_STR", scale="zscore")
     with pytest.raises(InvalidConfig):
         MethodConfig(method="FST_MAR", variant="bogus")
+    with pytest.raises(InvalidConfig):
+        MethodConfig(method="FST_MAR", location="bogus")
 
 
 def test_run_method_dispatches_every_method():
@@ -146,14 +126,12 @@ def test_run_benchmark_is_reproducible():
     assert a.reps == 4
 
 
-def test_run_benchmark_results_do_not_depend_on_worker_count(monkeypatch):
+def test_run_benchmark_reps_do_not_depend_on_rep_count():
     config = MethodConfig(method="FST_PRJ1", n_directions=12)
-    monkeypatch.setenv(THREADS_ENV, "1")
-    serial = run_benchmark("M3", config, reps=4, n=40, k=20, seed=23)
-    monkeypatch.setenv(THREADS_ENV, "4")
-    threaded = run_benchmark("M3", config, reps=4, n=40, k=20, seed=23)
-    np.testing.assert_array_equal(serial.tpr, threaded.tpr)
-    np.testing.assert_array_equal(serial.fpr, threaded.fpr)
+    short = run_benchmark("M3", config, reps=2, n=40, k=20, seed=23)
+    long = run_benchmark("M3", config, reps=4, n=40, k=20, seed=23)
+    np.testing.assert_array_equal(short.tpr, long.tpr[:2])
+    np.testing.assert_array_equal(short.fpr, long.fpr[:2])
 
 
 def test_run_benchmark_null_model_has_no_tpr():
@@ -216,6 +194,16 @@ def test_threshold_sweep_f1_decreases_with_absurd_threshold():
     assert points[0].f1_mean >= points[1].f1_mean
 
 
+def test_threshold_sweep_reps_do_not_depend_on_rep_count():
+    grid = [ThresholdTriple(0.3, 0.3, 0.3), ThresholdTriple(0.5, 0.4, 0.4)]
+    short = threshold_sweep("M3", grid, reps=2, n=40, k=20, seed=23, n_directions=12)
+    long = threshold_sweep("M3", grid, reps=4, n=40, k=20, seed=23, n_directions=12)
+    for a, b in zip(short, long):
+        assert a.shares == b.shares
+        np.testing.assert_array_equal(a.f1, b.f1[:2])
+        np.testing.assert_array_equal(a.fpr, b.fpr[:2])
+
+
 def test_threshold_sweep_validation():
     with pytest.raises(InvalidConfig):
         threshold_sweep("M1", [], reps=2)
@@ -229,6 +217,18 @@ def test_estimate_null_baselines_deterministic():
     assert a == b
     for rate in (a.shape, a.amplitude, a.magnitude, a.union):
         assert 0.0 <= rate < 1.0
+    with pytest.raises(InvalidConfig):
+        estimate_null_baselines(reps=0)
+
+
+def test_estimate_null_baselines_golden_values():
+    rates = estimate_null_baselines(reps=3, n=30, k=15, n_directions=10, seed=13)
+    assert (rates.shape, rates.amplitude, rates.magnitude, rates.union) == (
+        0.07555555555555556,
+        0.023333333333333334,
+        0.02111111111111111,
+        0.10222222222222221,
+    )
 
 
 def test_format_result_table_lists_rows():

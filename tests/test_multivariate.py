@@ -20,7 +20,6 @@ from fmuod import (
     detect_marginal,
     detect_projection,
     detect_stringed,
-    estimate_baselines,
     generate_directions,
     marginal_tables,
     project,
@@ -435,18 +434,6 @@ def test_detect_projection_fixed_and_selected_thresholds_share_votes_and_tables(
             np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
     assert fixed.thresholds.selection is None
     assert fixed.thresholds.by_type() != selected.thresholds.by_type()
-
-
-def test_estimate_baselines_deterministic():
-    def sample(seed):
-        return random_mv(seed)
-
-    a = estimate_baselines(sample, reps=3, n_directions=10, seed=21)
-    b = estimate_baselines(sample, reps=3, n_directions=10, seed=21)
-    assert a == b
-    assert 0.0 <= a.union < 1.0
-    with pytest.raises(InvalidConfig):
-        estimate_baselines(sample, reps=0)
 
 
 # ---------------------------------------------------------------------------
