@@ -38,6 +38,11 @@ class CutoffSpec:
             if rule not in RULES:
                 raise InvalidConfig(f"unknown cutoff rule {rule!r}; use one of {RULES}")
 
+    @property
+    def rules(self) -> tuple[str, str, str]:
+        """Rules of the shape, amplitude and magnitude columns, in that order."""
+        return (self.shape_rule, self.amplitude_rule, self.magnitude_rule)
+
     @classmethod
     def for_variant(cls, variant: str) -> "CutoffSpec":
         """Default rules for an index-table variant.
@@ -101,16 +106,29 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED, whisker_factor: float = 1
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise InvalidConfig("cutoff expects a one-dimensional value array")
-    if vals.size < MIN_CUTOFF_SAMPLE:
-        raise InsufficientData(
-            f"boxplot cutoff needs at least {MIN_CUTOFF_SAMPLE} values, got {vals.size}"
-        )
-    q1, q3 = np.percentile(vals, [25.0, 75.0])
-    iqr = q3 - q1
-    mask = vals > q3 + whisker_factor * iqr
-    if rule == RULE_TWO_SIDED:
-        mask |= vals < q1 - whisker_factor * iqr
+    mask = _fence_masks(vals[None], (rule,), whisker_factor)[0]
     return frozenset(np.nonzero(mask)[0].tolist())
+
+
+def _fence_masks(columns: np.ndarray, rules, whisker_factor: float) -> np.ndarray:
+    """Boolean masks of the entries strictly beyond the boxplot whiskers.
+
+    ``columns`` has shape ``(len(rules), ..., n)``: ``columns[t]`` is tested
+    under ``rules[t]``, and every sample along the last axis gets its own
+    quartiles.
+    """
+    n = columns.shape[-1]
+    if n < MIN_CUTOFF_SAMPLE:
+        raise InsufficientData(
+            f"boxplot cutoff needs at least {MIN_CUTOFF_SAMPLE} values, got {n}"
+        )
+    q1, q3 = np.percentile(columns, [25.0, 75.0], axis=-1, keepdims=True)
+    iqr = q3 - q1
+    masks = columns > q3 + whisker_factor * iqr
+    for t, rule in enumerate(rules):
+        if rule == RULE_TWO_SIDED:
+            masks[t] |= columns[t] < q1[t] - whisker_factor * iqr[t]
+    return masks
 
 
 def classify_outliers(table: IndexTable, spec: CutoffSpec | None = None) -> FlagSet:
@@ -121,10 +139,6 @@ def classify_outliers(table: IndexTable, spec: CutoffSpec | None = None) -> Flag
     """
     if spec is None:
         spec = CutoffSpec.for_variant(table.variant)
-    n = len(table)
-    return FlagSet(
-        n,
-        boxplot_cutoff(table.shape, spec.shape_rule, spec.whisker_factor),
-        boxplot_cutoff(table.amplitude, spec.amplitude_rule, spec.whisker_factor),
-        boxplot_cutoff(table.magnitude, spec.magnitude_rule, spec.whisker_factor),
-    )
+    columns = np.stack([table.shape, table.amplitude, table.magnitude])
+    masks = _fence_masks(columns, spec.rules, spec.whisker_factor)
+    return FlagSet(len(table), *(frozenset(np.nonzero(mask)[0].tolist()) for mask in masks))

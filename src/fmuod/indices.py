@@ -92,15 +92,24 @@ def reference_from_sample(data: FunctionalDataset, location: str = LOCATION_MEDI
     location : str
         ``"median"`` (default, robust) or ``"mean"``.
     """
-    if data.n < 2:
+    return _references(data.values[None], location)[0]
+
+
+def _references(samples: np.ndarray, location: str) -> list[ReferenceCurve]:
+    """Pointwise location of each sample in a ``(c, n, k)`` stack of curves.
+
+    The location is taken along the curve axis of the whole stack at once;
+    each reference is then centred and tested for degeneracy on its own.
+    """
+    if samples.shape[1] < 2:
         raise InsufficientData("reference estimation needs at least 2 curves")
     if location == LOCATION_MEDIAN:
-        ref = np.median(data.values, axis=0)
+        refs = np.median(samples, axis=1)
     elif location == LOCATION_MEAN:
-        ref = data.values.mean(axis=0)
+        refs = samples.mean(axis=1)
     else:
         raise InvalidCurve(f"unknown location {location!r}; use one of {LOCATIONS}")
-    return ReferenceCurve.from_values(ref)
+    return [ReferenceCurve.from_values(ref) for ref in refs]
 
 
 @dataclass(frozen=True)
@@ -168,39 +177,47 @@ def compute_index_table(
     if ref.is_degenerate:
         raise DegenerateReference("reference curve is constant")
 
-    X = data.values
-    mu_c = ref.centered
-    ref_ss = float(np.dot(mu_c, mu_c))
-    ref_mean = float(ref.values.mean())
+    shape, amplitude, magnitude = _index_columns(data.values[None], [ref], variant)[:, 0]
+    return IndexTable(shape, amplitude, magnitude, variant)
 
-    row_means = X.mean(axis=1)
-    Xc = X - row_means[:, None]
+
+def _index_columns(samples: np.ndarray, refs: list[ReferenceCurve], variant: str) -> np.ndarray:
+    """Indices of a ``(c, n, k)`` stack of samples, sample ``j`` against ``refs[j]``.
+
+    Returns a read-only ``(3, c, n)`` array holding the shape, amplitude and
+    magnitude columns of every sample.  Every reduction runs per curve, so
+    the columns of one sample do not depend on the others in the stack.
+    The references must not be degenerate.
+    """
+    mu_c = np.stack([ref.centered for ref in refs])[:, None, :]
+    # One BLAS dot per reference: a batched sum of squares can differ from
+    # it in the last bit.
+    ref_ss = np.array([np.dot(ref.centered, ref.centered) for ref in refs])[:, None]
+    ref_mean = np.array([ref.values.mean() for ref in refs])[:, None]
+
+    row_means = samples.mean(axis=2)
+    Xc = samples - row_means[:, :, None]
     # Constant curves center to exactly zero mathematically; clear any
     # rounding noise so their inner products vanish and amplitude is -1.
-    const = np.ptp(X, axis=1) == 0.0
+    const = np.ptp(samples, axis=2) == 0.0
     if np.any(const):
         Xc[const] = 0.0
 
-    inner = (Xc * mu_c).sum(axis=1)
-    norm_sq = (Xc * Xc).sum(axis=1)
+    inner = (Xc * mu_c).sum(axis=2)
+    norm_sq = (Xc * Xc).sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = inner / np.sqrt(norm_sq * ref_ss)
-    shape = 1.0 - corr
+    beta = inner / ref_ss
+    columns = np.stack([1.0 - corr, beta - 1.0, row_means - beta * ref_mean])
     # Constant curves have no shape to compare; pin their index at 1 (the
     # value of zero correlation).
-    shape[norm_sq == 0.0] = 1.0
-
-    beta = inner / ref_ss
-    amplitude = beta - 1.0
-    magnitude = row_means - beta * ref_mean
+    columns[0][norm_sq == 0.0] = 1.0
 
     if variant == VARIANT_ORIGINAL_ABSOLUTE:
-        amplitude = np.abs(amplitude)
-        magnitude = np.abs(magnitude)
+        columns[1:] = np.abs(columns[1:])
 
-    for arr in (shape, amplitude, magnitude):
-        arr.setflags(write=False)
-    return IndexTable(shape, amplitude, magnitude, variant)
+    columns.setflags(write=False)
+    return columns
 
 
 def compute_indices(values, ref: ReferenceCurve, variant: str = VARIANT_STANDARD) -> IndexTriple:

@@ -50,6 +50,8 @@ def _parse_int(cell: str, line_no: int, what: str) -> int:
 
 
 def _read_rows(path, delimiter: str) -> list[tuple[int, list[str]]]:
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise InvalidConfig(f"delimiter must be a single character, got {delimiter!r}")
     rows = []
     try:
         with open(path, newline="") as fh:

@@ -9,7 +9,10 @@ computations:
 * projection: project every curve onto random unit directions, run the
   univariate pipeline per projection, and let the projections vote.  A curve
   is flagged as an outlier of a given type when the share of projections
-  voting for it reaches that type's threshold.
+  voting for it reaches that type's threshold.  Directions are processed in
+  chunks under a fixed memory budget (:data:`CHUNK_BYTES`), each chunk in one
+  pass of array operations; every reduction stays within one projection, so
+  the votes and index tables do not depend on the budget.
 
 Every detector builds its index tables once, classifies or votes on them,
 and returns them on its report.  Thresholds for the projection vote can be
@@ -29,13 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutoffs import CutoffSpec, FlagSet, classify_outliers
+from .cutoffs import CutoffSpec, FlagSet, _fence_masks, classify_outliers
 from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
-from .errors import InvalidConfig, InvalidDirection
+from .errors import InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
     LOCATION_MEDIAN,
     VARIANT_STANDARD,
     IndexTable,
+    _index_columns,
+    _references,
     compute_index_table,
     reference_from_sample,
 )
@@ -50,6 +55,11 @@ MIN_DIRECTION_NORM = 1e-8
 
 #: Unit-norm tolerance for direction vectors.
 DIRECTION_NORM_TOL = 1e-12
+
+#: Memory budget, in bytes, for the projected curves of one chunk of
+#: directions in :func:`collect_votes`.  A chunk holds at least one direction;
+#: votes and tables do not depend on the budget.
+CHUNK_BYTES = 2**18
 
 SCALE_MINMAX = "minmax"
 SCALE_NONE = "none"
@@ -227,12 +237,17 @@ def project(data: MultivariateFunctionalDataset, direction) -> FunctionalDataset
         raise InvalidDirection("direction contains NaN or infinite entries")
     if float(np.sqrt(vec @ vec)) < MIN_DIRECTION_NORM:
         raise InvalidDirection("direction norm is (near-)zero")
+    return FunctionalDataset(_project_rows(data.values, vec[None])[0], data.grid)
+
+
+def _project_rows(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Project ``(n, k, d)`` curve values onto each row of ``vectors``: ``(c, n, k)``."""
     # Accumulate per component: elementwise kernels keep results independent
     # of BLAS threading.
-    out = data.values[:, :, 0] * vec[0]
-    for m in range(1, data.n_dims):
-        out = out + data.values[:, :, m] * vec[m]
-    return FunctionalDataset(out, data.grid)
+    out = values[None, :, :, 0] * vectors[:, 0, None, None]
+    for m in range(1, values.shape[2]):
+        out += values[None, :, :, m] * vectors[:, m, None, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,26 +443,6 @@ class VoteMatrix:
         return FlagSet(self.n, sets[0], sets[1], sets[2])
 
 
-def projection_tables(
-    data: MultivariateFunctionalDataset,
-    directions: DirectionSet,
-    variant: str = VARIANT_STANDARD,
-    location: str = LOCATION_MEDIAN,
-):
-    """Yield ``(l, table)`` per direction; ``table`` is None when degenerate."""
-    if directions.n_dims != data.n_dims:
-        raise InvalidDirection(
-            f"directions have {directions.n_dims} components but the data has {data.n_dims}"
-        )
-    for l in range(directions.n_directions):
-        proj = project(data, directions.vectors[l])
-        ref = reference_from_sample(proj, location)
-        if ref.is_degenerate:
-            yield l, None
-        else:
-            yield l, compute_index_table(proj, ref, variant)
-
-
 def collect_votes(
     data: MultivariateFunctionalDataset,
     directions: DirectionSet,
@@ -455,20 +450,42 @@ def collect_votes(
     cutoff: CutoffSpec | None = None,
     location: str = LOCATION_MEDIAN,
 ) -> VoteMatrix:
-    """Run the univariate pipeline per projection and record its votes."""
-    votes = np.zeros((data.n, directions.n_directions, len(TYPE_ORDER)), dtype=bool)
-    degenerate = 0
+    """Run the univariate pipeline on every projection and record its votes.
+
+    Directions are taken in chunks whose projected curves fit in
+    :data:`CHUNK_BYTES`; each step runs on a whole chunk at once, but every
+    reduction stays within one projection, so the votes and tables equal
+    those of projecting, indexing and classifying one direction at a time.
+    """
+    if directions.n_dims != data.n_dims:
+        raise InvalidDirection(
+            f"directions have {directions.n_dims} components but the data has {data.n_dims}"
+        )
+    if cutoff is None:
+        cutoff = CutoffSpec.for_variant(variant)
+    n_dirs = directions.n_directions
+    votes = np.zeros((data.n, n_dirs, len(TYPE_ORDER)), dtype=bool)
     tables = []
-    for l, table in projection_tables(data, directions, variant, location):
-        if table is None:
-            degenerate += 1
+    per_chunk = max(1, CHUNK_BYTES // (data.n * data.k * 8))
+    for start in range(0, n_dirs, per_chunk):
+        curves = _project_rows(data.values, directions.vectors[start:start + per_chunk])
+        if not np.all(np.isfinite(curves)):
+            raise InvalidCurve("projected curves contain NaN or infinite entries")
+        refs = _references(curves, location)
+        kept = [j for j, ref in enumerate(refs) if not ref.is_degenerate]
+        if not kept:
             continue
-        tables.append((l, table))
-        flags = classify_outliers(table, cutoff)
-        votes[list(flags.shape_outliers), l, 0] = True
-        votes[list(flags.amplitude_outliers), l, 1] = True
-        votes[list(flags.magnitude_outliers), l, 2] = True
-    return VoteMatrix(votes, degenerate, tuple(tables))
+        if len(kept) < len(refs):
+            curves = curves[kept]
+            refs = [refs[j] for j in kept]
+        columns = _index_columns(curves, refs, variant)
+        labels = [start + j for j in kept]
+        tables.extend(
+            (l, IndexTable(*columns[:, j], variant=variant)) for j, l in enumerate(labels)
+        )
+        masks = _fence_masks(columns, cutoff.rules, cutoff.whisker_factor)
+        votes[:, labels, :] = masks.transpose(2, 1, 0)
+    return VoteMatrix(votes, n_dirs - len(tables), tuple(tables))
 
 
 def select_thresholds(

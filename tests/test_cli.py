@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -97,20 +98,40 @@ def test_detect_emit_indices(tmp_path, method, labels):
 
 def test_detect_emit_indices_projects_once_per_direction(tmp_path, monkeypatch):
     out = simulate_into(tmp_path)
-    calls = []
-    original = fmuod.multivariate.project
+    rows = []
+    original = fmuod.multivariate._project_rows
 
-    def counting_project(data, direction):
-        calls.append(1)
-        return original(data, direction)
+    def counting_project_rows(values, vectors):
+        rows.append(len(vectors))
+        return original(values, vectors)
 
-    monkeypatch.setattr(fmuod.multivariate, "project", counting_project)
+    monkeypatch.setattr(fmuod.multivariate, "_project_rows", counting_project_rows)
     assert run(
         "detect", "--input", str(out / "data.csv"), "--layout", "long_multivariate",
         "--method", "FST_PRJ", "--directions", "12", "--emit-indices",
         "--out", str(tmp_path / "det"),
     ) == 0
-    assert len(calls) == 12
+    assert sum(rows) == 12
+
+
+def test_detect_projection_outputs_are_pinned(tmp_path):
+    # sha256 values recorded with the per-direction projection loop that the
+    # chunked vote kernel replaced; report.json is left out because it
+    # echoes the input path.
+    out = simulate_into(tmp_path, model="M3", seed="11", n="60", k="30")
+    det = tmp_path / "det"
+    assert run(
+        "detect", "--input", str(out / "data.csv"), "--layout", "long_multivariate",
+        "--method", "FST_PRJ", "--seed", "4", "--emit-indices", "--out", str(det),
+    ) == 0
+    digests = {
+        name: hashlib.sha256((det / name).read_bytes()).hexdigest()
+        for name in ("flags.csv", "indices.csv")
+    }
+    assert digests == {
+        "flags.csv": "8b684ced7e0f5a81c565b4bbdabd20c4e316c95464e1b881c72ef361c3a7ad02",
+        "indices.csv": "b25155750841398918cf4254767ffcb97f1a54b5b2377e306bdafad055e2ccb7",
+    }
 
 
 def test_detect_explicit_taus(tmp_path):
@@ -246,6 +267,17 @@ def test_taus_rejected_for_non_fixed_methods(tmp_path):
         "--tau-magnitude", "0.4", "--out", str(tmp_path / "out"),
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""], ids=["two-chars", "empty"])
+def test_detect_rejects_delimiter_that_is_not_one_character(tmp_path, capsys, delimiter):
+    sim = simulate_into(tmp_path)
+    code = run(
+        "detect", "--input", str(sim / "data.csv"), "--layout", "long_multivariate",
+        "--method", "FST_MAR", "--delimiter", delimiter, "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_CONFIG
+    assert "delimiter must be a single character" in capsys.readouterr().err
 
 
 def test_unknown_model_exits_config(tmp_path):

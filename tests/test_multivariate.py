@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from fmuod import (
     ANY_VOTE_THRESHOLDS,
     Baselines,
+    CutoffSpec,
     DirectionSet,
     FunctionalDataset,
     Grid,
+    InsufficientData,
     InvalidConfig,
+    InvalidCurve,
     InvalidDirection,
     MultivariateFunctionalDataset,
     ThresholdTriple,
@@ -23,11 +26,11 @@ from fmuod import (
     generate_directions,
     marginal_tables,
     project,
-    projection_tables,
     reference_from_sample,
     select_thresholds,
     string_dimensions,
 )
+import fmuod.multivariate
 from fmuod.multivariate import SCALE_MINMAX, SCALE_NONE, TYPE_ORDER
 
 
@@ -267,22 +270,145 @@ def test_raising_thresholds_never_adds_flags(seed, low, bump):
 # vote collection
 
 
+def per_direction_votes(data, directions, variant="standard", cutoff=None, location="median"):
+    """Reference for collect_votes: the public pipeline, one direction at a time."""
+    votes = np.zeros((data.n, directions.n_directions, len(TYPE_ORDER)), dtype=bool)
+    tables = []
+    for l, vec in enumerate(directions.vectors):
+        proj = project(data, vec)
+        ref = reference_from_sample(proj, location)
+        if ref.is_degenerate:
+            continue
+        table = compute_index_table(proj, ref, variant)
+        tables.append((l, table))
+        flags = classify_outliers(table, cutoff)
+        by_type = (flags.shape_outliers, flags.amplitude_outliers, flags.magnitude_outliers)
+        for t, flagged in enumerate(by_type):
+            votes[sorted(flagged), l, t] = True
+    return votes, directions.n_directions - len(tables), tables
+
+
+def assert_votes_match_pipeline(data, directions, **options):
+    got = collect_votes(data, directions, **options)
+    votes, degenerate, tables = per_direction_votes(data, directions, **options)
+    np.testing.assert_array_equal(got.votes, votes)
+    assert got.degenerate_projections == degenerate
+    assert [l for l, _ in got.tables] == [l for l, _ in tables]
+    for (_, a), (_, b) in zip(got.tables, tables):
+        assert a.variant == b.variant
+        for column in ("shape", "amplitude", "magnitude"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+    return got
+
+
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    """Record how many directions each projection chunk of collect_votes holds."""
+    rows = []
+    original = fmuod.multivariate._project_rows
+
+    def recording(values, vectors):
+        rows.append(len(vectors))
+        return original(values, vectors)
+
+    monkeypatch.setattr(fmuod.multivariate, "_project_rows", recording)
+    return rows
+
+
 def test_collect_votes_matches_per_projection_classification():
     data = random_mv(9)
     directions = generate_directions(8, 3, seed=1)
-    votes = collect_votes(data, directions)
+    votes = assert_votes_match_pipeline(data, directions)
     assert votes.votes.shape == (30, 8, 3)
-    for l, table in projection_tables(data, directions):
-        flags = classify_outliers(table)
-        np.testing.assert_array_equal(
-            np.nonzero(votes.votes[:, l, 0])[0], sorted(flags.shape_outliers)
-        )
-        np.testing.assert_array_equal(
-            np.nonzero(votes.votes[:, l, 1])[0], sorted(flags.amplitude_outliers)
-        )
-        np.testing.assert_array_equal(
-            np.nonzero(votes.votes[:, l, 2])[0], sorted(flags.magnitude_outliers)
-        )
+
+
+@pytest.mark.parametrize("location", ["median", "mean"])
+@pytest.mark.parametrize("variant", ["standard", "original_absolute"])
+@pytest.mark.parametrize(
+    "per_chunk, expected_rows",
+    [(None, [10]), (4, [4, 4, 2]), (0, [1] * 10)],
+    ids=["one-chunk", "uneven-chunks", "over-budget"],
+)
+def test_collect_votes_equals_per_direction_pipeline(
+    monkeypatch, chunk_rows, variant, location, per_chunk, expected_rows
+):
+    data, _ = contaminated_mv(seed=21, n=40, k=20)
+    if per_chunk is not None:
+        # n*k*8 bytes per direction; a budget of 0 is below one direction.
+        monkeypatch.setattr(fmuod.multivariate, "CHUNK_BYTES", per_chunk * 40 * 20 * 8)
+    directions = generate_directions(10, 3, seed=2)
+    votes = assert_votes_match_pipeline(data, directions, variant=variant, location=location)
+    assert votes.votes.any()
+    chunk_rows.clear()
+    collect_votes(data, directions, variant=variant, location=location)
+    assert chunk_rows == expected_rows
+
+
+def test_collect_votes_equals_pipeline_with_custom_cutoff(monkeypatch):
+    data, _ = contaminated_mv(seed=22, n=40, k=20)
+    monkeypatch.setattr(fmuod.multivariate, "CHUNK_BYTES", 3 * 40 * 20 * 8)
+    directions = generate_directions(7, 3, seed=3)
+    spec = CutoffSpec(whisker_factor=3.0, shape_rule="two_sided")
+    votes = assert_votes_match_pipeline(data, directions, cutoff=spec)
+    assert votes.votes.sum() != collect_votes(data, directions).votes.sum()
+
+
+def test_collect_votes_equals_pipeline_around_degenerate_direction(monkeypatch, chunk_rows):
+    # second component mirrors the first, so (1,1,0)/sqrt(2) projects to zero
+    rng = np.random.default_rng(23)
+    first = rng.standard_normal((12, 8))
+    values = np.stack([first, -first, rng.standard_normal((12, 8))], axis=2)
+    data = MultivariateFunctionalDataset(values, Grid.regular(8))
+    s = np.sqrt(0.5)
+    directions = DirectionSet(
+        np.array([[1.0, 0.0, 0.0], [s, s, 0.0], [0.0, 0.0, 1.0], [0.0, s, s], [0.0, 1.0, 0.0]])
+    )
+    monkeypatch.setattr(fmuod.multivariate, "CHUNK_BYTES", 3 * 12 * 8 * 8)
+    votes = assert_votes_match_pipeline(data, directions)
+    # two chunks in collect_votes, then one row per direction in the reference
+    assert chunk_rows == [3, 2] + [1] * 5
+    assert votes.degenerate_projections == 1
+    assert [l for l, _ in votes.tables] == [0, 2, 3, 4]
+
+
+def test_collect_votes_equals_pipeline_with_constant_curve_in_one_dimension():
+    rng = np.random.default_rng(24)
+    values = rng.standard_normal((15, 10, 1))
+    values[3] = 2.0
+    data = MultivariateFunctionalDataset(values, Grid.regular(10))
+    directions = DirectionSet(np.array([[1.0], [-1.0]]))
+    votes = assert_votes_match_pipeline(data, directions)
+    constant = votes.tables[0][1].row(3)
+    assert (constant.shape, constant.amplitude) == (1.0, -1.0)
+
+
+def test_collect_votes_errors():
+    data = random_mv(25, n=6, k=10, d=2)
+    directions = generate_directions(4, 2, seed=5)
+    one = MultivariateFunctionalDataset(data.values[:1], data.grid)
+    with pytest.raises(InsufficientData, match="reference estimation needs at least 2 curves"):
+        collect_votes(one, directions)
+    three = MultivariateFunctionalDataset(data.values[:3], data.grid)
+    with pytest.raises(InsufficientData, match="boxplot cutoff needs at least 4 values, got 3"):
+        collect_votes(three, directions)
+    with pytest.raises(InvalidCurve, match="unknown location"):
+        collect_votes(data, directions, location="mode")
+    with pytest.raises(InvalidDirection, match="components"):
+        collect_votes(data, generate_directions(4, 3, seed=5))
+    huge = MultivariateFunctionalDataset(np.full((6, 10, 2), 1.5e308), data.grid)
+    with np.errstate(over="ignore"), pytest.raises(InvalidCurve, match="infinite"):
+        collect_votes(huge, DirectionSet(np.array([[np.sqrt(0.5), np.sqrt(0.5)]])))
+
+
+def test_collect_votes_with_only_degenerate_directions_raises_nothing():
+    # three curves are too few for cutoffs, but no direction reaches them
+    first = np.random.default_rng(26).standard_normal((3, 8))
+    data = MultivariateFunctionalDataset(np.stack([first, -first], axis=2), Grid.regular(8))
+    s = np.sqrt(0.5)
+    votes = collect_votes(data, DirectionSet(np.array([[s, s], [-s, -s]])))
+    assert votes.degenerate_projections == 2
+    assert votes.tables == ()
+    assert not votes.votes.any()
 
 
 def test_degenerate_projections_are_counted_not_voted():
