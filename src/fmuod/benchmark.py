@@ -12,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutoffs import CutoffSpec
 from .datasets import MultivariateFunctionalDataset
 from .errors import InvalidConfig
 from .indices import LOCATION_MEDIAN, LOCATIONS, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
     ANY_VOTE_THRESHOLDS,
-    DEFAULT_ETA,
-    DEFAULT_GAMMA,
     DEFAULT_VOTE_SHARES,
     REFERENCE_BASELINES,
     SCALE_NONE,
@@ -70,11 +67,8 @@ class MethodConfig:
     n_directions: int = DEFAULT_N_DIRECTIONS
     vote_shares: ThresholdTriple = DEFAULT_VOTE_SHARES
     baselines: Baselines = REFERENCE_BASELINES
-    gamma: tuple[float, float, float] = DEFAULT_GAMMA
-    eta: tuple[float, float, float] = DEFAULT_ETA
     scale: str = SCALE_NONE
     variant: str = VARIANT_STANDARD
-    cutoff: CutoffSpec | None = None
     location: str = LOCATION_MEDIAN
 
     def __post_init__(self):
@@ -101,16 +95,12 @@ def run_method(
     ignored by the marginal and stringing methods.
     """
     if config.method == METHOD_MARGINAL:
-        return detect_marginal(data, config.variant, config.cutoff, config.location)
+        return detect_marginal(data, config.variant, config.location)
     if config.method == METHOD_STRINGING:
-        return detect_stringed(
-            data, config.scale, config.variant, config.cutoff, config.location
-        )
+        return detect_stringed(data, config.scale, config.variant, config.location)
     directions = generate_directions(config.n_directions, data.n_dims, seed)
     if config.method == METHOD_PROJECTION_ADAPTIVE:
-        thresholds = functools.partial(
-            select_thresholds, baselines=config.baselines, gamma=config.gamma, eta=config.eta
-        )
+        thresholds = functools.partial(select_thresholds, baselines=config.baselines)
     elif config.method == METHOD_PROJECTION_ANY:
         thresholds = ANY_VOTE_THRESHOLDS
     else:
@@ -120,7 +110,6 @@ def run_method(
         directions,
         thresholds,
         config.variant,
-        config.cutoff,
         config.location,
         method=config.method,
     )

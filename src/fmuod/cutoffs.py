@@ -1,9 +1,12 @@
 """Boxplot-style cutoffs turning index values into outlier flags.
 
-A value is flagged when it falls strictly beyond a whisker placed at
-``whisker_factor`` times the interquartile range outside the quartiles.
-Shape indices are right-skewed by construction, so only their upper tail is
-tested; amplitude and magnitude are signed and tested on both tails.
+A value is flagged when it falls strictly beyond a whisker placed
+:data:`WHISKER_FACTOR` (1.5) times the interquartile range outside the
+quartiles.  The table variant picks the tails (:func:`rules_for`): shape
+indices are right-skewed by construction, so only their upper tail is
+tested; amplitude and magnitude are signed and tested on both tails, except
+in ``original_absolute`` tables, which hold their absolute values and are
+tested on the upper tail only.
 """
 from __future__ import annotations
 
@@ -18,41 +21,22 @@ RULE_UPPER_ONLY = "upper_only"
 RULE_TWO_SIDED = "two_sided"
 RULES = (RULE_UPPER_ONLY, RULE_TWO_SIDED)
 
+#: Multiple of the interquartile range placed beyond the quartiles.
+WHISKER_FACTOR = 1.5
+
 #: Minimum sample size for quartile-based cutoffs.
 MIN_CUTOFF_SAMPLE = 4
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Cutoff rules applied to the three index columns."""
+def rules_for(variant: str) -> tuple[str, str, str]:
+    """Rules of the shape, amplitude and magnitude columns of a table variant.
 
-    whisker_factor: float = 1.5
-    shape_rule: str = RULE_UPPER_ONLY
-    amplitude_rule: str = RULE_TWO_SIDED
-    magnitude_rule: str = RULE_TWO_SIDED
-
-    def __post_init__(self):
-        if not (np.isfinite(self.whisker_factor) and self.whisker_factor > 0):
-            raise InvalidConfig("whisker_factor must be finite and positive")
-        for rule in (self.shape_rule, self.amplitude_rule, self.magnitude_rule):
-            if rule not in RULES:
-                raise InvalidConfig(f"unknown cutoff rule {rule!r}; use one of {RULES}")
-
-    @property
-    def rules(self) -> tuple[str, str, str]:
-        """Rules of the shape, amplitude and magnitude columns, in that order."""
-        return (self.shape_rule, self.amplitude_rule, self.magnitude_rule)
-
-    @classmethod
-    def for_variant(cls, variant: str) -> "CutoffSpec":
-        """Default rules for an index-table variant.
-
-        Absolute-value tables carry no sign information, so every column is
-        tested on the upper tail only.
-        """
-        if variant == VARIANT_ORIGINAL_ABSOLUTE:
-            return cls(amplitude_rule=RULE_UPPER_ONLY, magnitude_rule=RULE_UPPER_ONLY)
-        return cls()
+    Absolute-value tables carry no sign information, so every column is
+    tested on the upper tail only; any other variant gets the standard rules.
+    """
+    if variant == VARIANT_ORIGINAL_ABSOLUTE:
+        return (RULE_UPPER_ONLY, RULE_UPPER_ONLY, RULE_UPPER_ONLY)
+    return (RULE_UPPER_ONLY, RULE_TWO_SIDED, RULE_TWO_SIDED)
 
 
 @dataclass(frozen=True)
@@ -79,7 +63,7 @@ class FlagSet:
         return cls(n, e, e, e)
 
 
-def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED, whisker_factor: float = 1.5) -> frozenset[int]:
+def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
     """Indices of entries strictly beyond the boxplot whiskers.
 
     Parameters
@@ -88,13 +72,12 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED, whisker_factor: float = 1
         One-dimensional sample, at least :data:`MIN_CUTOFF_SAMPLE` entries.
     rule : str
         ``"two_sided"`` flags both tails, ``"upper_only"`` just the right one.
-    whisker_factor : float
-        Multiple of the interquartile range added beyond the quartiles.
 
     Notes
     -----
-    Quartiles use linear interpolation.  Values exactly on a fence are not
-    flagged.
+    Quartiles use linear interpolation.  The fences sit
+    :data:`WHISKER_FACTOR` interquartile ranges beyond them; values exactly
+    on a fence are not flagged.
 
     No minimum spread is applied.  When ties make the interquartile range
     zero, both fences sit on the common quartile, so any value that differs
@@ -106,11 +89,11 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED, whisker_factor: float = 1
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise InvalidConfig("cutoff expects a one-dimensional value array")
-    mask = _fence_masks(vals[None], (rule,), whisker_factor)[0]
+    mask = _fence_masks(vals[None], (rule,))[0]
     return frozenset(np.nonzero(mask)[0].tolist())
 
 
-def _fence_masks(columns: np.ndarray, rules, whisker_factor: float) -> np.ndarray:
+def _fence_masks(columns: np.ndarray, rules) -> np.ndarray:
     """Boolean masks of the entries strictly beyond the boxplot whiskers.
 
     ``columns`` has shape ``(len(rules), ..., n)``: ``columns[t]`` is tested
@@ -124,21 +107,18 @@ def _fence_masks(columns: np.ndarray, rules, whisker_factor: float) -> np.ndarra
         )
     q1, q3 = np.percentile(columns, [25.0, 75.0], axis=-1, keepdims=True)
     iqr = q3 - q1
-    masks = columns > q3 + whisker_factor * iqr
+    masks = columns > q3 + WHISKER_FACTOR * iqr
     for t, rule in enumerate(rules):
         if rule == RULE_TWO_SIDED:
-            masks[t] |= columns[t] < q1[t] - whisker_factor * iqr[t]
+            masks[t] |= columns[t] < q1[t] - WHISKER_FACTOR * iqr[t]
     return masks
 
 
-def classify_outliers(table: IndexTable, spec: CutoffSpec | None = None) -> FlagSet:
+def classify_outliers(table: IndexTable) -> FlagSet:
     """Apply boxplot cutoffs to each column of an index table.
 
-    When ``spec`` is omitted the rules default to
-    :meth:`CutoffSpec.for_variant` of the table's variant.
+    The rules of each column follow the table's variant (:func:`rules_for`).
     """
-    if spec is None:
-        spec = CutoffSpec.for_variant(table.variant)
     columns = np.stack([table.shape, table.amplitude, table.magnitude])
-    masks = _fence_masks(columns, spec.rules, spec.whisker_factor)
+    masks = _fence_masks(columns, rules_for(table.variant))
     return FlagSet(len(table), *(frozenset(np.nonzero(mask)[0].tolist()) for mask in masks))

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutoffs import CutoffSpec, FlagSet, _fence_masks, classify_outliers
+from .cutoffs import FlagSet, _fence_masks, classify_outliers, rules_for
 from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
 from .errors import InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
@@ -111,6 +111,8 @@ class Baselines:
             )
         except KeyError as exc:
             raise InvalidConfig(f"baselines are missing the {exc.args[0]!r} rate") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(f"baseline rates must be numbers ({exc})") from exc
 
 
 #: False-vote rates measured on the bundled outlier-free simulation model
@@ -164,10 +166,10 @@ ANY_VOTE_SHARE = float(np.finfo(np.float64).eps)
 
 ANY_VOTE_THRESHOLDS = ThresholdTriple(ANY_VOTE_SHARE, ANY_VOTE_SHARE, ANY_VOTE_SHARE)
 
-#: Default upper anchors of the adaptive threshold formula.
+#: Upper anchors ``gamma`` of the adaptive threshold formula, per type.
 DEFAULT_GAMMA = (0.7, 0.7, 0.7)
 
-#: Default maximum reductions of the adaptive threshold formula.
+#: Maximum reductions ``eta`` of the adaptive threshold formula, per type.
 DEFAULT_ETA = (0.3, 0.4, 0.4)
 
 
@@ -293,13 +295,11 @@ def marginal_tables(
 def detect_marginal(
     data: MultivariateFunctionalDataset,
     variant: str = VARIANT_STANDARD,
-    cutoff: CutoffSpec | None = None,
     location: str = LOCATION_MEDIAN,
-    method: str = "FST_MAR",
 ) -> OutlierReport:
     """Classify per component and join the flags of each type across components."""
     tables = marginal_tables(data, variant, location)
-    per_margin = [classify_outliers(table, cutoff) for table in tables]
+    per_margin = [classify_outliers(table) for table in tables]
     flags = FlagSet(
         data.n,
         frozenset().union(*(f.shape_outliers for f in per_margin)),
@@ -307,7 +307,7 @@ def detect_marginal(
         frozenset().union(*(f.magnitude_outliers for f in per_margin)),
     )
     return OutlierReport(
-        method,
+        "FST_MAR",
         data.n,
         flags,
         config={"variant": variant, "location": location},
@@ -361,16 +361,14 @@ def detect_stringed(
     data: MultivariateFunctionalDataset,
     scale: str = SCALE_NONE,
     variant: str = VARIANT_STANDARD,
-    cutoff: CutoffSpec | None = None,
     location: str = LOCATION_MEDIAN,
-    method: str = "FST_STR",
 ) -> OutlierReport:
     """Run the univariate pipeline on the stringed curves."""
     table = stringed_table(data, scale, variant, location)
     return OutlierReport(
-        method,
+        "FST_STR",
         data.n,
-        classify_outliers(table, cutoff),
+        classify_outliers(table),
         config={"scale": scale, "variant": variant, "location": location},
         tables=(("stringed", table),),
     )
@@ -447,7 +445,6 @@ def collect_votes(
     data: MultivariateFunctionalDataset,
     directions: DirectionSet,
     variant: str = VARIANT_STANDARD,
-    cutoff: CutoffSpec | None = None,
     location: str = LOCATION_MEDIAN,
 ) -> VoteMatrix:
     """Run the univariate pipeline on every projection and record its votes.
@@ -461,8 +458,7 @@ def collect_votes(
         raise InvalidDirection(
             f"directions have {directions.n_dims} components but the data has {data.n_dims}"
         )
-    if cutoff is None:
-        cutoff = CutoffSpec.for_variant(variant)
+    rules = rules_for(variant)
     n_dirs = directions.n_directions
     votes = np.zeros((data.n, n_dirs, len(TYPE_ORDER)), dtype=bool)
     tables = []
@@ -483,7 +479,7 @@ def collect_votes(
         tables.extend(
             (l, IndexTable(*columns[:, j], variant=variant)) for j, l in enumerate(labels)
         )
-        masks = _fence_masks(columns, cutoff.rules, cutoff.whisker_factor)
+        masks = _fence_masks(columns, rules)
         votes[:, labels, :] = masks.transpose(2, 1, 0)
     return VoteMatrix(votes, n_dirs - len(tables), tuple(tables))
 
@@ -491,8 +487,6 @@ def collect_votes(
 def select_thresholds(
     votes: VoteMatrix,
     baselines: Baselines = REFERENCE_BASELINES,
-    gamma: tuple[float, float, float] = DEFAULT_GAMMA,
-    eta: tuple[float, float, float] = DEFAULT_ETA,
 ) -> ThresholdTriple:
     """Choose vote-share thresholds from the observed vote excess.
 
@@ -502,12 +496,11 @@ def select_thresholds(
     contamination get a lower threshold:
     ``tau_T = gamma_T - eta_T * clamp(delta_T / delta_C, 0, 1)``.  When
     ``delta_C <= 0`` or the ratio is negative, ``tau_T`` stays at ``gamma_T``.
+    The anchors ``gamma`` and reductions ``eta`` are the constants
+    :data:`DEFAULT_GAMMA` and :data:`DEFAULT_ETA`; the returned selection
+    records them.
     """
-    for t in range(len(TYPE_ORDER)):
-        if not (0.0 < gamma[t] <= 1.0):
-            raise InvalidConfig("gamma anchors must lie in (0, 1]")
-        if not (0.0 <= eta[t] < gamma[t]):
-            raise InvalidConfig("eta reductions must lie in [0, gamma)")
+    gamma, eta = DEFAULT_GAMMA, DEFAULT_ETA
     delta_types = tuple(
         share - base for share, base in zip(votes.type_shares(), baselines.by_type())
     )
@@ -533,8 +526,8 @@ def select_thresholds(
 
     selection = ThresholdSelection(
         baselines=baselines,
-        gamma=tuple(gamma),
-        eta=tuple(eta),
+        gamma=gamma,
+        eta=eta,
         delta_types=delta_types,
         delta_union=delta_union,
         ratios=tuple(ratios),
@@ -548,7 +541,6 @@ def detect_projection(
     directions: DirectionSet,
     thresholds: ThresholdTriple | Callable[[VoteMatrix], ThresholdTriple] = DEFAULT_VOTE_SHARES,
     variant: str = VARIANT_STANDARD,
-    cutoff: CutoffSpec | None = None,
     location: str = LOCATION_MEDIAN,
     method: str = "FST_PRJ1",
 ) -> OutlierReport:
@@ -558,7 +550,7 @@ def detect_projection(
     the :class:`VoteMatrix` to one, such as a :func:`functools.partial` of
     :func:`select_thresholds`.
     """
-    votes = collect_votes(data, directions, variant, cutoff, location)
+    votes = collect_votes(data, directions, variant, location)
     chosen = thresholds(votes) if callable(thresholds) else thresholds
     return OutlierReport(
         method,

@@ -107,39 +107,35 @@ class LabeledDataset:
     spec: SimulationSpec | None = None
 
 
-def score_variances(n_components: int = N_COMPONENTS) -> np.ndarray:
-    """Variances ``(M+1-m)/M`` of the scores, decreasing in ``m``."""
-    m = np.arange(1, n_components + 1)
-    return (n_components + 1 - m) / n_components
+def score_variances() -> np.ndarray:
+    """Variances ``(M+1-m)/M`` of the :data:`N_COMPONENTS` scores, decreasing in ``m``."""
+    m = np.arange(1, N_COMPONENTS + 1)
+    return (N_COMPONENTS + 1 - m) / N_COMPONENTS
 
 
-def multivariate_eigenfunctions(
-    grid: Grid, n_components: int = N_COMPONENTS, n_dims: int = N_DIMS
-) -> np.ndarray:
+def multivariate_eigenfunctions(grid: Grid) -> np.ndarray:
     """Orthonormal trivariate eigenfunctions evaluated on the grid.
 
-    The Fourier family on [0, d] (constant, then sine and cosine pairs of
-    increasing frequency) is cut into ``d`` unit-length pieces; piece ``j``
-    becomes component ``j``.  The family is orthonormal under the inner
-    product summing the per-component integrals over the grid's span, which
-    is designed for grids on [0, 1].
+    The Fourier family on [0, d] with ``d =`` :data:`N_DIMS` (constant, then
+    sine and cosine pairs of increasing frequency) is cut into ``d``
+    unit-length pieces; piece ``j`` becomes component ``j``.  The family is
+    orthonormal under the inner product summing the per-component integrals
+    over the grid's span, which is designed for grids on [0, 1].
 
-    Returns an array of shape ``(n_components, n_dims, k)``.
+    Returns an array of shape ``(N_COMPONENTS, N_DIMS, k)``.
     """
-    if n_components < 1 or n_dims < 1:
-        raise InvalidConfig("need at least one component and one dimension")
     t = grid.points
-    out = np.empty((n_components, n_dims, t.size))
-    for m in range(n_components):
-        for j in range(n_dims):
+    out = np.empty((N_COMPONENTS, N_DIMS, t.size))
+    for m in range(N_COMPONENTS):
+        for j in range(N_DIMS):
             x = t + j
             if m == 0:
-                out[m, j] = 1.0 / np.sqrt(n_dims)
+                out[m, j] = 1.0 / np.sqrt(N_DIMS)
             else:
                 freq = (m + 1) // 2
-                angle = 2.0 * np.pi * freq * x / n_dims
+                angle = 2.0 * np.pi * freq * x / N_DIMS
                 wave = np.sin(angle) if m % 2 == 1 else np.cos(angle)
-                out[m, j] = np.sqrt(2.0 / n_dims) * wave
+                out[m, j] = np.sqrt(2.0 / N_DIMS) * wave
     return out
 
 

@@ -114,23 +114,63 @@ def test_detect_emit_indices_projects_once_per_direction(tmp_path, monkeypatch):
     assert sum(rows) == 12
 
 
-def test_detect_projection_outputs_are_pinned(tmp_path):
-    # sha256 values recorded with the per-direction projection loop that the
-    # chunked vote kernel replaced; report.json is left out because it
-    # echoes the input path.
+def detect_digests(tmp_path, *options):
+    """sha256 of flags.csv and indices.csv of one detect on a fixed M3 sample.
+
+    report.json is left out because it echoes the input path.
+    """
     out = simulate_into(tmp_path, model="M3", seed="11", n="60", k="30")
     det = tmp_path / "det"
     assert run(
         "detect", "--input", str(out / "data.csv"), "--layout", "long_multivariate",
-        "--method", "FST_PRJ", "--seed", "4", "--emit-indices", "--out", str(det),
+        "--seed", "4", "--emit-indices", "--out", str(det), *options,
     ) == 0
-    digests = {
+    return {
         name: hashlib.sha256((det / name).read_bytes()).hexdigest()
         for name in ("flags.csv", "indices.csv")
     }
-    assert digests == {
+
+
+def test_detect_projection_outputs_are_pinned(tmp_path):
+    # recorded with the per-direction projection loop that the chunked vote
+    # kernel replaced
+    assert detect_digests(tmp_path, "--method", "FST_PRJ") == {
         "flags.csv": "8b684ced7e0f5a81c565b4bbdabd20c4e316c95464e1b881c72ef361c3a7ad02",
         "indices.csv": "b25155750841398918cf4254767ffcb97f1a54b5b2377e306bdafad055e2ccb7",
+    }
+
+
+@pytest.mark.parametrize(
+    "options, flags_sha, indices_sha",
+    [
+        (
+            ("--method", "FST_MAR"),
+            "b93fb0450812a3a8068c38e62f8ec98bb13bf77b3419ea38ef6c1cb04d28ac84",
+            "757e258c0cefd68f3f33e448b80168f3a399303149853086e9885f7ff5be97d9",
+        ),
+        (
+            ("--method", "FST_STR", "--scale", "minmax"),
+            "e6562db9b82fde5f2c241c6d6a1f62dd5266b520a2571f1efce2e5c5fafd28b6",
+            "28ff8785a599eaa9847b6e7d542f67a098f9230dd7902e061f8d757ea09df899",
+        ),
+        (
+            ("--method", "FST_MAR", "--variant", "original_absolute"),
+            "c03d346e83a7c67fc2270527bb114f768a132e8c63178524b391571b501694f9",
+            "d5f47ec64a57c01c37d1d5a06302f2f891c57ad543e5c7958d38bd5b64360b2b",
+        ),
+        (
+            ("--method", "FST_PRJ", "--variant", "original_absolute"),
+            "05e7e7cc37a22529700c127652cf9fb62fc4a831414844bbfc3db3b4ae02ee83",
+            "6c54b53a7255b5b5d58cdcef30307c640ee49202850b06b6f50fe127d715d173",
+        ),
+    ],
+    ids=["FST_MAR", "FST_STR-minmax", "FST_MAR-absolute", "FST_PRJ-absolute"],
+)
+def test_detect_outputs_are_pinned(tmp_path, options, flags_sha, indices_sha):
+    # recorded before the cutoff rules became module constants
+    assert detect_digests(tmp_path, *options) == {
+        "flags.csv": flags_sha,
+        "indices.csv": indices_sha,
     }
 
 
@@ -278,6 +318,26 @@ def test_detect_rejects_delimiter_that_is_not_one_character(tmp_path, capsys, de
     )
     assert code == EXIT_CONFIG
     assert "delimiter must be a single character" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["abc", None], ids=["text", "null"])
+@pytest.mark.parametrize("command", ["detect", "benchmark"])
+def test_non_numeric_baseline_rate_exits_config(tmp_path, capsys, command, rate):
+    rates = tmp_path / "baselines.json"
+    rates.write_text(
+        json.dumps({"shape": rate, "amplitude": 0.01, "magnitude": 0.01, "union": 0.09})
+    )
+    if command == "detect":
+        sim = simulate_into(tmp_path)
+        args = ["--input", str(sim / "data.csv"), "--layout", "long_multivariate"]
+    else:
+        args = ["--model", "M1", "--reps", "1"]
+    code = run(
+        command, *args, "--method", "FST_PRJ", "--baselines", str(rates),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_CONFIG
+    assert "baseline rates must be numbers" in capsys.readouterr().err
 
 
 def test_unknown_model_exits_config(tmp_path):

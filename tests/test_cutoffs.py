@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmuod import (
-    CutoffSpec,
     FlagSet,
     FunctionalDataset,
     Grid,
@@ -15,7 +14,7 @@ from fmuod import (
     classify_outliers,
     compute_index_table,
 )
-from fmuod.cutoffs import RULE_TWO_SIDED, RULE_UPPER_ONLY
+from fmuod.cutoffs import RULE_TWO_SIDED, RULE_UPPER_ONLY, WHISKER_FACTOR, rules_for
 from fmuod.indices import VARIANT_ORIGINAL_ABSOLUTE
 
 
@@ -65,9 +64,11 @@ def test_boxplot_rejects_bad_config():
 
 
 def test_whisker_factor_widens_fences():
-    values = list(range(1, 10)) + [16.0]
-    assert boxplot_cutoff(values, whisker_factor=1.5) == {9}
-    assert boxplot_cutoff(values, whisker_factor=3.0) == frozenset()
+    # 1..9 plus one larger value: q1=3.25, q3=7.75, so the fence sits at
+    # 7.75 + 1.5*4.5 = 14.5, and a value on it is not flagged
+    assert WHISKER_FACTOR == 1.5
+    assert boxplot_cutoff(list(range(1, 10)) + [14.6], RULE_UPPER_ONLY) == {9}
+    assert boxplot_cutoff(list(range(1, 10)) + [14.5], RULE_UPPER_ONLY) == frozenset()
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,23 +85,12 @@ def test_two_sided_contains_upper_only(values):
     assert upper <= both
 
 
-def test_cutoff_spec_validation():
-    with pytest.raises(InvalidConfig):
-        CutoffSpec(whisker_factor=0.0)
-    with pytest.raises(InvalidConfig):
-        CutoffSpec(whisker_factor=np.inf)
-    with pytest.raises(InvalidConfig):
-        CutoffSpec(shape_rule="bogus")
-
-
 def test_cutoff_spec_for_variant():
-    default = CutoffSpec.for_variant("standard")
-    assert default.amplitude_rule == RULE_TWO_SIDED
-    assert default.magnitude_rule == RULE_TWO_SIDED
-    assert default.shape_rule == RULE_UPPER_ONLY
-    absolute = CutoffSpec.for_variant(VARIANT_ORIGINAL_ABSOLUTE)
-    assert absolute.amplitude_rule == RULE_UPPER_ONLY
-    assert absolute.magnitude_rule == RULE_UPPER_ONLY
+    standard = (RULE_UPPER_ONLY, RULE_TWO_SIDED, RULE_TWO_SIDED)
+    assert rules_for("standard") == standard
+    assert rules_for(VARIANT_ORIGINAL_ABSOLUTE) == (RULE_UPPER_ONLY,) * 3
+    # unknown variants get the standard rules; IndexTable rejects them
+    assert rules_for("bogus") == standard
 
 
 def test_flag_set_union_and_validation():
@@ -132,10 +122,7 @@ def test_classify_two_sided_sees_downward_shift_upper_only_does_not():
     table = _magnitude_outlier_table(-8.0)
     two_sided = classify_outliers(table)
     assert 4 in two_sided.magnitude_outliers
-    upper = classify_outliers(
-        table, CutoffSpec(magnitude_rule=RULE_UPPER_ONLY, amplitude_rule=RULE_UPPER_ONLY)
-    )
-    assert 4 not in upper.magnitude_outliers
+    assert 4 not in boxplot_cutoff(table.magnitude, RULE_UPPER_ONLY)
 
 
 def test_classify_defaults_follow_table_variant():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmuod import (
@@ -200,6 +200,10 @@ def curve_and_ref(draw, k_min=5, k_max=24):
     return y, make_ref(ref_vals)
 
 
+SPIKE_BELOW_ROUNDING = np.array([0.0, 0.0, 0.0, 0.0, 3.06e-77])
+SPIKE_REF = make_ref(np.random.default_rng(0).standard_normal(5) + np.linspace(0.0, 1.0, 5))
+
+
 def close(a, b, rel=1e-9):
     return np.isclose(a, b, rtol=rel, atol=1e-12)
 
@@ -210,14 +214,22 @@ def close(a, b, rel=1e-9):
     a=st.floats(min_value=-10.0, max_value=10.0).filter(lambda v: abs(v) > 1e-3),
     b=st.floats(min_value=-10.0, max_value=10.0),
 )
+# a*y + b rounds to a constant curve, whose shape index is pinned at 1
+@example(data=(SPIKE_BELOW_ROUNDING, SPIKE_REF), a=1.0, b=1.0)
+@example(data=(SPIKE_BELOW_ROUNDING, SPIKE_REF), a=-1.0, b=1.0)
 def test_affine_transform_laws(data, a, b):
-    """ay+b maps magnitude to a*I_M+b, amplitude to a*I_A+a-1, keeps shape."""
+    """ay+b maps magnitude to a*I_M+b, amplitude to a*I_A+a-1, keeps shape.
+
+    The shape law holds only where the moved curve still varies: when its
+    spread is lost to rounding against the offset ``b``, it becomes constant.
+    """
     y, ref = data
     base = compute_indices(y, ref)
     moved = compute_indices(a * y + b, ref)
     assert close(moved.magnitude, a * base.magnitude + b)
     assert close(moved.amplitude, a * base.amplitude + a - 1.0)
-    if np.ptp(y) > 0:
+    scaled = a * y
+    if np.ptp(scaled) > 1e-6 * (abs(b) + np.max(np.abs(scaled))):
         if a > 0:
             assert close(moved.shape, base.shape)
         else:

@@ -254,6 +254,16 @@ def test_baselines_missing_rate_is_config_error(tmp_path):
         read_baselines(path)
 
 
+@pytest.mark.parametrize("rate", ["abc", None, [0.1]], ids=["text", "null", "list"])
+def test_baselines_non_numeric_rate_is_config_error(tmp_path, rate):
+    path = tmp_path / "baselines.json"
+    path.write_text(
+        json.dumps({"shape": rate, "amplitude": 0.01, "magnitude": 0.01, "union": 0.09})
+    )
+    with pytest.raises(InvalidConfig, match="must be numbers"):
+        read_baselines(path)
+
+
 # ---------------------------------------------------------------------------
 # reports
 

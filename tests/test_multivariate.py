@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fmuod import (
     ANY_VOTE_THRESHOLDS,
     Baselines,
-    CutoffSpec,
     DirectionSet,
     FunctionalDataset,
     Grid,
@@ -31,7 +30,7 @@ from fmuod import (
     string_dimensions,
 )
 import fmuod.multivariate
-from fmuod.multivariate import SCALE_MINMAX, SCALE_NONE, TYPE_ORDER
+from fmuod.multivariate import DEFAULT_ETA, DEFAULT_GAMMA, SCALE_MINMAX, SCALE_NONE, TYPE_ORDER
 
 
 def random_mv(seed, n=30, k=20, d=3):
@@ -270,7 +269,7 @@ def test_raising_thresholds_never_adds_flags(seed, low, bump):
 # vote collection
 
 
-def per_direction_votes(data, directions, variant="standard", cutoff=None, location="median"):
+def per_direction_votes(data, directions, variant="standard", location="median"):
     """Reference for collect_votes: the public pipeline, one direction at a time."""
     votes = np.zeros((data.n, directions.n_directions, len(TYPE_ORDER)), dtype=bool)
     tables = []
@@ -281,7 +280,7 @@ def per_direction_votes(data, directions, variant="standard", cutoff=None, locat
             continue
         table = compute_index_table(proj, ref, variant)
         tables.append((l, table))
-        flags = classify_outliers(table, cutoff)
+        flags = classify_outliers(table)
         by_type = (flags.shape_outliers, flags.amplitude_outliers, flags.magnitude_outliers)
         for t, flagged in enumerate(by_type):
             votes[sorted(flagged), l, t] = True
@@ -344,15 +343,6 @@ def test_collect_votes_equals_per_direction_pipeline(
     assert chunk_rows == expected_rows
 
 
-def test_collect_votes_equals_pipeline_with_custom_cutoff(monkeypatch):
-    data, _ = contaminated_mv(seed=22, n=40, k=20)
-    monkeypatch.setattr(fmuod.multivariate, "CHUNK_BYTES", 3 * 40 * 20 * 8)
-    directions = generate_directions(7, 3, seed=3)
-    spec = CutoffSpec(whisker_factor=3.0, shape_rule="two_sided")
-    votes = assert_votes_match_pipeline(data, directions, cutoff=spec)
-    assert votes.votes.sum() != collect_votes(data, directions).votes.sum()
-
-
 def test_collect_votes_equals_pipeline_around_degenerate_direction(monkeypatch, chunk_rows):
     # second component mirrors the first, so (1,1,0)/sqrt(2) projects to zero
     rng = np.random.default_rng(23)
@@ -398,6 +388,20 @@ def test_collect_votes_errors():
     huge = MultivariateFunctionalDataset(np.full((6, 10, 2), 1.5e308), data.grid)
     with np.errstate(over="ignore"), pytest.raises(InvalidCurve, match="infinite"):
         collect_votes(huge, DirectionSet(np.array([[np.sqrt(0.5), np.sqrt(0.5)]])))
+
+
+@pytest.mark.parametrize(
+    "detect",
+    [
+        lambda data: collect_votes(data, generate_directions(4, 3, seed=5), variant="bogus"),
+        lambda data: detect_marginal(data, variant="bogus"),
+        lambda data: detect_stringed(data, variant="bogus"),
+    ],
+    ids=["collect_votes", "detect_marginal", "detect_stringed"],
+)
+def test_unknown_variant_raises_invalid_curve(detect):
+    with pytest.raises(InvalidCurve, match="unknown variant"):
+        detect(random_mv(27))
 
 
 def test_collect_votes_with_only_degenerate_directions_raises_nothing():
@@ -503,14 +507,12 @@ def test_select_thresholds_negative_ratio_falls_back_per_type():
     assert taus.shape == pytest.approx(0.4)
 
 
-def test_select_thresholds_validates_gamma_eta():
-    votes = votes_matrix()
-    with pytest.raises(InvalidConfig):
-        select_thresholds(votes, REF, gamma=(1.2, 0.7, 0.7))
-    with pytest.raises(InvalidConfig):
-        select_thresholds(votes, REF, eta=(0.8, 0.4, 0.4))
-    with pytest.raises(InvalidConfig):
-        select_thresholds(votes, REF, eta=(-0.1, 0.4, 0.4))
+def test_threshold_anchors_keep_every_threshold_in_range():
+    # tau_T ranges over [gamma_T - eta_T, gamma_T], which must lie in (0, 1]
+    assert len(DEFAULT_GAMMA) == len(DEFAULT_ETA) == len(TYPE_ORDER)
+    for gamma, eta in zip(DEFAULT_GAMMA, DEFAULT_ETA):
+        assert 0.0 < gamma <= 1.0
+        assert 0.0 <= eta < gamma
 
 
 # ---------------------------------------------------------------------------
