@@ -78,6 +78,11 @@ class ReferenceCurve:
         return not np.any(self.centered)
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in VARIANTS:
+        raise InvalidCurve(f"unknown variant {variant!r}; use one of {VARIANTS}")
+
+
 def _is_constant(values: np.ndarray) -> bool:
     return bool(np.all(values == values.flat[0]))
 
@@ -139,8 +144,7 @@ class IndexTable:
         for arr in (self.shape, self.amplitude, self.magnitude):
             if arr.shape != self.shape.shape or arr.ndim != 1:
                 raise InvalidCurve("index columns must be one-dimensional and equally long")
-        if self.variant not in VARIANTS:
-            raise InvalidCurve(f"unknown variant {self.variant!r}; use one of {VARIANTS}")
+        _check_variant(self.variant)
 
     def __len__(self) -> int:
         return self.shape.size
@@ -170,8 +174,7 @@ def compute_index_table(
     DegenerateReference
         If the reference curve is constant.
     """
-    if variant not in VARIANTS:
-        raise InvalidCurve(f"unknown variant {variant!r}; use one of {VARIANTS}")
+    _check_variant(variant)
     if ref.k != data.k:
         raise InvalidCurve(f"reference has {ref.k} points but the data has {data.k}")
     if ref.is_degenerate:
@@ -207,11 +210,20 @@ def _index_columns(samples: np.ndarray, refs: list[ReferenceCurve], variant: str
     norm_sq = (Xc * Xc).sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = inner / np.sqrt(norm_sq * ref_ss)
+    # The squares of a varying curve this small lose precision or underflow;
+    # take its correlation on a copy scaled to unit maximum magnitude.
+    tiny = ~const & (norm_sq < 2.0**-900)
+    if np.any(tiny):
+        ys = samples[tiny] / np.abs(samples[tiny]).max(axis=1, keepdims=True)
+        ys -= ys.mean(axis=1, keepdims=True)
+        mu = np.broadcast_to(mu_c, samples.shape)[tiny]
+        ss = np.broadcast_to(ref_ss, tiny.shape)[tiny]
+        corr[tiny] = (ys * mu).sum(axis=1) / np.sqrt((ys * ys).sum(axis=1) * ss)
     beta = inner / ref_ss
     columns = np.stack([1.0 - corr, beta - 1.0, row_means - beta * ref_mean])
     # Constant curves have no shape to compare; pin their index at 1 (the
     # value of zero correlation).
-    columns[0][norm_sq == 0.0] = 1.0
+    columns[0][const] = 1.0
 
     if variant == VARIANT_ORIGINAL_ABSOLUTE:
         columns[1:] = np.abs(columns[1:])

@@ -1,29 +1,28 @@
 """Outlier detection for multivariate functional data.
 
-Three strategies reduce the multivariate problem to univariate index
-computations:
+Three strategies reduce multivariate curves to samples of univariate ones:
 
-* marginal: run the univariate pipeline per component and join the flags;
-* stringing: concatenate the (optionally rescaled) components of each curve
-  into one long curve and run the univariate pipeline once;
-* projection: project every curve onto random unit directions, run the
-  univariate pipeline per projection, and let the projections vote.  A curve
-  is flagged as an outlier of a given type when the share of projections
-  voting for it reaches that type's threshold.  Directions are processed in
-  chunks under a fixed memory budget (:data:`CHUNK_BYTES`), each chunk in one
-  pass of array operations; every reduction stays within one projection, so
-  the votes and index tables do not depend on the budget.
+* marginal: one sample per component, with the flags joined across them;
+* stringing: one sample of long curves, the (optionally rescaled)
+  components of each curve concatenated;
+* projection: one sample per random unit direction.  A curve is flagged as
+  an outlier of a given type when the share of projections voting for it
+  reaches that type's threshold.
 
-Every detector builds its index tables once, classifies or votes on them,
-and returns them on its report.  Thresholds for the projection vote can be
-fixed vote shares or can be chosen by a selector from the vote matrix, such
-as :func:`select_thresholds`, which reads the observed vote excess over
-baseline false-vote rates: with
-``delta_T`` the excess vote share of type ``T`` and ``delta_C`` the excess
-share of curves receiving any vote, the threshold is
-``tau_T = gamma_T - eta_T * clamp(delta_T / delta_C, 0, 1)``, falling back to
-``gamma_T`` when the excess estimates are degenerate (``delta_C <= 0`` or a
-negative ratio).
+All three run one stacked kernel on a ``(c, n, k)`` stack of samples: a
+pointwise reference per sample, the three index columns and the boxplot
+fences, with every reduction kept within one sample.  Component and
+stringed references must not be constant (:class:`DegenerateReference`);
+a projection whose reference is constant is dropped and counted instead.
+Directions are stacked in chunks under a fixed memory budget
+(:data:`CHUNK_BYTES`); the votes and index tables do not depend on it.
+
+Every detector returns the index tables its flags were read from.  Projection
+thresholds are fixed vote shares or are chosen from the vote matrix by a
+selector such as :func:`select_thresholds`: with ``delta_T`` the excess vote
+share of type ``T`` over its baseline false-vote rate and ``delta_C`` that of
+votes of any type, ``tau_T = gamma_T - eta_T * clamp(delta_T / delta_C, 0, 1)``,
+or ``gamma_T`` when ``delta_C <= 0`` or the ratio is negative.
 """
 from __future__ import annotations
 
@@ -32,17 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutoffs import FlagSet, _fence_masks, classify_outliers, rules_for
+from .cutoffs import FlagSet, _fence_masks, rules_for
 from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
-from .errors import InvalidConfig, InvalidCurve, InvalidDirection
+from .errors import DegenerateReference, InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
     LOCATION_MEDIAN,
     VARIANT_STANDARD,
     IndexTable,
+    _check_variant,
     _index_columns,
     _references,
-    compute_index_table,
-    reference_from_sample,
 )
 from .seeding import child_rng
 
@@ -276,20 +274,28 @@ class OutlierReport:
 
 
 # ---------------------------------------------------------------------------
-# marginal detection
+# the stacked kernel and the component detectors
 
 
-def marginal_tables(
-    data: MultivariateFunctionalDataset,
-    variant: str = VARIANT_STANDARD,
-    location: str = LOCATION_MEDIAN,
-) -> list[IndexTable]:
-    """Univariate index tables of each component."""
-    tables = []
-    for m in range(data.n_dims):
-        margin = data.margin(m)
-        tables.append(compute_index_table(margin, reference_from_sample(margin, location), variant))
-    return tables
+def _stack_kernel(samples: np.ndarray, refs: list, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Index columns and fence masks of a contiguous ``(c, n, k)`` stack.
+
+    Sample ``j`` is indexed against ``refs[j]``, which must not be degenerate.
+    Both results have shape ``(3, c, n)``; the columns are read-only.
+    """
+    columns = _index_columns(samples, refs, variant)
+    return columns, _fence_masks(columns, rules_for(variant))
+
+
+def _classify_stack(samples: np.ndarray, variant: str, location: str):
+    """Tables of each sample of a stack, and its flags joined across samples."""
+    refs = _references(samples, location)
+    if any(ref.is_degenerate for ref in refs):
+        raise DegenerateReference("reference curve is constant")
+    columns, masks = _stack_kernel(samples, refs, variant)
+    flags = (frozenset(np.flatnonzero(m).tolist()) for m in masks.any(axis=1))
+    tables = [IndexTable(*columns[:, j], variant=variant) for j in range(len(refs))]
+    return tables, FlagSet(samples.shape[1], *flags)
 
 
 def detect_marginal(
@@ -298,14 +304,10 @@ def detect_marginal(
     location: str = LOCATION_MEDIAN,
 ) -> OutlierReport:
     """Classify per component and join the flags of each type across components."""
-    tables = marginal_tables(data, variant, location)
-    per_margin = [classify_outliers(table) for table in tables]
-    flags = FlagSet(
-        data.n,
-        frozenset().union(*(f.shape_outliers for f in per_margin)),
-        frozenset().union(*(f.amplitude_outliers for f in per_margin)),
-        frozenset().union(*(f.magnitude_outliers for f in per_margin)),
-    )
+    _check_variant(variant)
+    # A contiguous copy: reductions on the strided view round differently.
+    samples = np.ascontiguousarray(data.values.transpose(2, 0, 1))
+    tables, flags = _classify_stack(samples, variant, location)
     return OutlierReport(
         "FST_MAR",
         data.n,
@@ -346,17 +348,6 @@ def string_dimensions(
     return FunctionalDataset(values, grid)
 
 
-def stringed_table(
-    data: MultivariateFunctionalDataset,
-    scale: str = SCALE_NONE,
-    variant: str = VARIANT_STANDARD,
-    location: str = LOCATION_MEDIAN,
-) -> IndexTable:
-    """Univariate index table of the stringed dataset."""
-    strung = string_dimensions(data, scale)
-    return compute_index_table(strung, reference_from_sample(strung, location), variant)
-
-
 def detect_stringed(
     data: MultivariateFunctionalDataset,
     scale: str = SCALE_NONE,
@@ -364,13 +355,14 @@ def detect_stringed(
     location: str = LOCATION_MEDIAN,
 ) -> OutlierReport:
     """Run the univariate pipeline on the stringed curves."""
-    table = stringed_table(data, scale, variant, location)
+    _check_variant(variant)
+    tables, flags = _classify_stack(string_dimensions(data, scale).values[None], variant, location)
     return OutlierReport(
         "FST_STR",
         data.n,
-        classify_outliers(table),
+        flags,
         config={"scale": scale, "variant": variant, "location": location},
-        tables=(("stringed", table),),
+        tables=(("stringed", tables[0]),),
     )
 
 
@@ -454,11 +446,11 @@ def collect_votes(
     reduction stays within one projection, so the votes and tables equal
     those of projecting, indexing and classifying one direction at a time.
     """
+    _check_variant(variant)
     if directions.n_dims != data.n_dims:
         raise InvalidDirection(
             f"directions have {directions.n_dims} components but the data has {data.n_dims}"
         )
-    rules = rules_for(variant)
     n_dirs = directions.n_directions
     votes = np.zeros((data.n, n_dirs, len(TYPE_ORDER)), dtype=bool)
     tables = []
@@ -474,12 +466,11 @@ def collect_votes(
         if len(kept) < len(refs):
             curves = curves[kept]
             refs = [refs[j] for j in kept]
-        columns = _index_columns(curves, refs, variant)
+        columns, masks = _stack_kernel(curves, refs, variant)
         labels = [start + j for j in kept]
         tables.extend(
             (l, IndexTable(*columns[:, j], variant=variant)) for j, l in enumerate(labels)
         )
-        masks = _fence_masks(columns, rules)
         votes[:, labels, :] = masks.transpose(2, 1, 0)
     return VoteMatrix(votes, n_dirs - len(tables), tuple(tables))
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import fmuod.multivariate
-from fmuod import FunctionalDataset, Grid
+from fmuod import FunctionalDataset, Grid, MultivariateFunctionalDataset
 from fmuod.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PARSE, main
-from fmuod.io import read_baselines, write_wide_csv
+from fmuod.io import read_baselines, write_long_csv, write_wide_csv
 
 
 def run(*argv):
@@ -369,6 +369,19 @@ def test_constant_data_exits_degenerate(tmp_path, capsys):
     )
     assert code == EXIT_DEGENERATE
     assert "constant" in capsys.readouterr().err
+
+
+def test_constant_component_exits_degenerate(tmp_path, capsys):
+    values = np.random.default_rng(3).standard_normal((10, 6, 2))
+    values[:, :, 1] = 0.5
+    path = tmp_path / "data.csv"
+    write_long_csv(MultivariateFunctionalDataset(values, Grid.regular(6)), path)
+    code = run(
+        "detect", "--input", str(path), "--layout", "long_multivariate",
+        "--method", "FST_MAR", "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_DEGENERATE
+    assert "error: reference curve is constant" in capsys.readouterr().err
 
 
 def test_benchmark_unknown_model_exits_config(tmp_path):

@@ -201,6 +201,8 @@ def curve_and_ref(draw, k_min=5, k_max=24):
 
 
 SPIKE_BELOW_ROUNDING = np.array([0.0, 0.0, 0.0, 0.0, 3.06e-77])
+SPIKE_UNDERFLOWING = np.array([0.0, 0.0, 0.0, 0.0, 3.8159e-160])
+SPIKE_UNDERFLOWING_TO_ZERO = np.array([0.0, 0.0, 0.0, 0.0, 1e-162])
 SPIKE_REF = make_ref(np.random.default_rng(0).standard_normal(5) + np.linspace(0.0, 1.0, 5))
 
 
@@ -217,6 +219,10 @@ def close(a, b, rel=1e-9):
 # a*y + b rounds to a constant curve, whose shape index is pinned at 1
 @example(data=(SPIKE_BELOW_ROUNDING, SPIKE_REF), a=1.0, b=1.0)
 @example(data=(SPIKE_BELOW_ROUNDING, SPIKE_REF), a=-1.0, b=1.0)
+# the squared centred norm of y underflows into subnormals (or to zero for
+# the smaller spike), so the shape index must not depend on the scale
+@example(data=(SPIKE_UNDERFLOWING, SPIKE_REF), a=2.0, b=0.0)
+@example(data=(SPIKE_UNDERFLOWING_TO_ZERO, SPIKE_REF), a=10.0, b=0.0)
 def test_affine_transform_laws(data, a, b):
     """ay+b maps magnitude to a*I_M+b, amplitude to a*I_A+a-1, keeps shape.
 

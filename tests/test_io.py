@@ -14,6 +14,7 @@ from fmuod import (
     MultivariateFunctionalDataset,
     ParseError,
     ThresholdTriple,
+    detect_marginal,
     run_benchmark,
     run_method,
     threshold_sweep,
@@ -39,7 +40,6 @@ from fmuod.io import (
     write_truth_csv,
     write_wide_csv,
 )
-from fmuod.multivariate import marginal_tables
 from fmuod.simulation import SimulationSpec, generate
 
 
@@ -332,7 +332,7 @@ def test_flags_csv_blank_share_without_proportions(tmp_path):
 
 def test_index_tables_csv(tmp_path):
     data = random_mv(d=3, n=8, k=10)
-    tables = list(enumerate(marginal_tables(data)))
+    tables = list(detect_marginal(data).tables)
     path = tmp_path / "indices.csv"
     write_index_tables_csv(tables, path)
     lines = path.read_text().strip().splitlines()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fmuod import (
     ANY_VOTE_THRESHOLDS,
     Baselines,
+    DegenerateReference,
     DirectionSet,
     FunctionalDataset,
     Grid,
@@ -23,13 +24,13 @@ from fmuod import (
     detect_projection,
     detect_stringed,
     generate_directions,
-    marginal_tables,
     project,
     reference_from_sample,
     select_thresholds,
     string_dimensions,
 )
 import fmuod.multivariate
+from fmuod.indices import LOCATIONS, VARIANTS
 from fmuod.multivariate import DEFAULT_ETA, DEFAULT_GAMMA, SCALE_MINMAX, SCALE_NONE, TYPE_ORDER
 
 
@@ -38,6 +39,12 @@ def random_mv(seed, n=30, k=20, d=3):
     base = np.sin(2.0 * np.pi * np.linspace(0.0, 1.0, k))
     values = rng.standard_normal((n, k, d)) * 0.3 + base[None, :, None]
     return MultivariateFunctionalDataset(values, Grid.regular(k))
+
+
+def mirrored_mv(n=12, k=8):
+    # the second component mirrors the first, so (1,1)/sqrt(2) projects to zero
+    first = np.random.default_rng(10).standard_normal((n, k))
+    return MultivariateFunctionalDataset(np.stack([first, -first], axis=2), Grid.regular(k))
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +196,32 @@ def test_marginal_union_over_margins():
 
 def test_marginal_tables_match_margin_computation():
     data = random_mv(8)
-    tables = marginal_tables(data)
-    assert len(tables) == 3
-    margin = data.margin(1)
-    expected = compute_index_table(margin, reference_from_sample(margin))
-    np.testing.assert_array_equal(tables[1].shape, expected.shape)
+    for variant in VARIANTS:
+        for location in LOCATIONS:
+            tables = detect_marginal(data, variant, location).tables
+            assert [label for label, _ in tables] == [0, 1, 2]
+            for m, table in tables:
+                margin = data.margin(m)
+                expected = compute_index_table(
+                    margin, reference_from_sample(margin, location), variant
+                )
+                for name in TYPE_ORDER:
+                    got, want = getattr(table, name), getattr(expected, name)
+                    assert got.tobytes() == want.tobytes(), (variant, location, m, name)
+
+
+def test_marginal_with_constant_component_raises_degenerate_reference():
+    data = random_mv(9)
+    values = data.values.copy()
+    values[:, :, 1] = 2.5
+    with pytest.raises(DegenerateReference, match="reference curve is constant"):
+        detect_marginal(MultivariateFunctionalDataset(values, data.grid))
+
+
+def test_stringed_constant_curves_raise_degenerate_reference():
+    data = MultivariateFunctionalDataset(np.full((8, 6, 2), -1.25), Grid.regular(6))
+    with pytest.raises(DegenerateReference, match="reference curve is constant"):
+        detect_stringed(data)
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +418,48 @@ def test_collect_votes_errors():
         collect_votes(huge, DirectionSet(np.array([[np.sqrt(0.5), np.sqrt(0.5)]])))
 
 
+def default_mv():
+    return random_mv(27)
+
+
+def constant_component_mv():
+    values = random_mv(27).values.copy()
+    values[:, :, 0] = 1.0
+    return MultivariateFunctionalDataset(values, Grid.regular(20))
+
+
+DIAGONAL = DirectionSet(np.array([[np.sqrt(0.5), np.sqrt(0.5)]]))
+
+
 @pytest.mark.parametrize(
-    "detect",
+    "detect, make_data",
     [
-        lambda data: collect_votes(data, generate_directions(4, 3, seed=5), variant="bogus"),
-        lambda data: detect_marginal(data, variant="bogus"),
-        lambda data: detect_stringed(data, variant="bogus"),
+        (lambda data: collect_votes(data, generate_directions(4, 3, seed=5), variant="bogus"),
+         default_mv),
+        (lambda data: detect_marginal(data, variant="bogus"), default_mv),
+        (lambda data: detect_stringed(data, variant="bogus"), default_mv),
+        (lambda data: collect_votes(data, DIAGONAL, variant="bogus"), mirrored_mv),
+        (lambda data: detect_projection(data, DIAGONAL, variant="bogus"), mirrored_mv),
+        (lambda data: collect_votes(data, DIAGONAL, variant="bogus"), default_mv),
+        (lambda data: detect_marginal(data, variant="bogus"), constant_component_mv),
+        (lambda data: detect_stringed(data, "bogus", variant="bogus"), default_mv),
+        (lambda data: detect_marginal(data, variant="bogus", location="mode"), default_mv),
+        (lambda data: detect_marginal(data, variant="bogus"), lambda: random_mv(27, n=3)),
+        (lambda data: detect_stringed(data, variant="bogus"), lambda: random_mv(27, n=3)),
+        (lambda data: detect_marginal(data, variant="bogus"), lambda: random_mv(27, n=1)),
     ],
-    ids=["collect_votes", "detect_marginal", "detect_stringed"],
+    ids=[
+        "collect_votes", "detect_marginal", "detect_stringed",
+        "collect_votes-degenerate-directions", "detect_projection-degenerate-directions",
+        "collect_votes-dimension-mismatch", "detect_marginal-constant-component",
+        "detect_stringed-unknown-scale", "detect_marginal-unknown-location",
+        "detect_marginal-three-curves", "detect_stringed-three-curves",
+        "detect_marginal-one-curve",
+    ],
 )
-def test_unknown_variant_raises_invalid_curve(detect):
+def test_unknown_variant_raises_invalid_curve(detect, make_data):
     with pytest.raises(InvalidCurve, match="unknown variant"):
-        detect(random_mv(27))
+        detect(make_data())
 
 
 def test_collect_votes_with_only_degenerate_directions_raises_nothing():
@@ -416,11 +474,7 @@ def test_collect_votes_with_only_degenerate_directions_raises_nothing():
 
 
 def test_degenerate_projections_are_counted_not_voted():
-    # second component mirrors the first, so (1,1)/sqrt(2) projects to zero
-    rng = np.random.default_rng(10)
-    first = rng.standard_normal((12, 8))
-    values = np.stack([first, -first], axis=2)
-    data = MultivariateFunctionalDataset(values, Grid.regular(8))
+    data = mirrored_mv()
     s = np.sqrt(0.5)
     directions = DirectionSet(np.array([[s, s], [1.0, 0.0]]))
     votes = collect_votes(data, directions)
