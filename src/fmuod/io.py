@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ def _read_rows(path, delimiter: str) -> list[tuple[int, list[str]]]:
         raise InvalidConfig(f"delimiter must be a single character, got {delimiter!r}")
     rows = []
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for line_no, row in enumerate(csv.reader(fh, delimiter=delimiter), start=1):
                 if not row or all(cell.strip() == "" for cell in row):
                     continue
@@ -73,19 +74,20 @@ def _read_rows(path, delimiter: str) -> list[tuple[int, list[str]]]:
 def read_wide_csv(path, delimiter: str = ",") -> FunctionalDataset:
     """Read curves from a CSV with one row per curve.
 
-    All cells must be finite numbers.  A single leading row that does not
-    parse as numbers is treated as a header and skipped.
+    All cells must be finite numbers.  A leading row none of whose cells
+    parses as a number is treated as a header and skipped; a leading row
+    mixing numbers and text is data, so its first bad cell is an error.
     """
     rows = _read_rows(path, delimiter)
 
-    def try_parse(row: list[str]):
-        return [float(cell) for cell in row]
+    def is_number(cell: str) -> bool:
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
 
-    start = 0
-    try:
-        try_parse(rows[0][1])
-    except ValueError:
-        start = 1
+    start = 0 if any(is_number(cell) for cell in rows[0][1]) else 1
     if start == len(rows):
         raise ParseError(f"{path}: header but no data rows")
 
@@ -103,7 +105,7 @@ def read_wide_csv(path, delimiter: str = ",") -> FunctionalDataset:
 
 def write_wide_csv(data: FunctionalDataset, path) -> None:
     """Write one row of grid values per curve (no header)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         for i in range(data.n):
             writer.writerow([format_float(v) for v in data.values[i]])
@@ -122,7 +124,55 @@ def read_long_csv(path, delimiter: str = ",") -> MultivariateFunctionalDataset:
 
     The header must be ``curve_id,t_index,dim_1,...,dim_d``; curve and grid
     indices must be 0-based and every combination must appear exactly once.
+
+    The body is parsed in one ``np.loadtxt`` pass and checked in bulk.  A file
+    that pass does not take as it stands is read again line by line: a
+    malformed file then raises a :class:`ParseError` naming its first bad
+    line, and forms only Python's ``int`` and ``float`` accept (``1_0``,
+    Unicode digits, quoted cells, blank lines before the header) still read.
     """
+    values = _long_values_bulk(path, delimiter)
+    if values is None:
+        return _read_long_lines(path, delimiter)
+    return MultivariateFunctionalDataset(values, Grid.regular(values.shape[1]))
+
+
+def _long_values_bulk(path, delimiter: str) -> np.ndarray | None:
+    """The ``(n, k, d)`` values of a plain long CSV, or None to read it line by line.
+
+    Only a file the line-by-line reader accepts with the same values may pass:
+    every cell is parsed (no ``usecols``, which lets ragged rows through), ``#``
+    is data (no ``comments``), and numpy's warnings, such as a float read as an
+    integer, count as failures.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            header = next(csv.reader([fh.readline()], delimiter=delimiter), [])
+            n_dims = len(header) - 2
+            if n_dims < 1 or header != _long_header(n_dims):
+                return None
+            dtype = [("c", "i8"), ("t", "i8"), ("v", "f8", (n_dims,))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
+    except Exception:  # whatever failed, the line-by-line reader reports it
+        return None
+    curve, t_idx, vecs = rows["c"], rows["t"], rows["v"]
+    if curve.min() < 0 or t_idx.min() < 0 or not np.isfinite(vecs).all():
+        return None
+    n, k = int(curve.max()) + 1, int(t_idx.max()) + 1
+    if k < 2 or n * k != len(rows):
+        return None
+    cell = curve * k + t_idx
+    if np.bincount(cell, minlength=n * k).max() > 1:
+        return None
+    values = np.empty((n * k, n_dims))
+    values[cell] = vecs
+    return values.reshape(n, k, n_dims)
+
+
+def _read_long_lines(path, delimiter: str) -> MultivariateFunctionalDataset:
+    """The line-by-line long reader: the error reporter and the reference."""
     rows = _read_rows(path, delimiter)
     header_line, header = rows[0]
     if len(header) < 3 or header[:2] != ["curve_id", "t_index"]:
@@ -178,14 +228,13 @@ def read_long_csv(path, delimiter: str = ",") -> MultivariateFunctionalDataset:
 
 def write_long_csv(data: MultivariateFunctionalDataset, path) -> None:
     """Write the dataset as a complete 0-indexed lattice with a header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_long_header(data.n_dims))
-        for i in range(data.n):
-            for j in range(data.k):
-                writer.writerow(
-                    [str(i), str(j)] + [format_float(v) for v in data.values[i, j]]
-                )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(_long_header(data.n_dims)) + "\r\n")
+        for i, curve in enumerate(data.values):
+            fh.writelines(
+                f"{i},{j},{','.join(map(repr, vec))}\r\n"
+                for j, vec in enumerate(curve.tolist())
+            )
 
 
 def read_dataset(path, layout: str, delimiter: str = ",") -> MultivariateFunctionalDataset:
@@ -203,7 +252,7 @@ def read_dataset(path, layout: str, delimiter: str = ",") -> MultivariateFunctio
 
 def write_truth_csv(labeled: LabeledDataset, path) -> None:
     """Write the outlier indices and their per-outlier parameters."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["curve_id", "info"])
         for i in labeled.outlier_indices:
@@ -217,7 +266,9 @@ def write_truth_csv(labeled: LabeledDataset, path) -> None:
 def write_baselines(baselines: Baselines, path) -> None:
     payload = {"schema_version": BASELINES_SCHEMA_VERSION}
     payload.update(baselines.as_dict())
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def read_baselines(path) -> Baselines:
@@ -289,7 +340,8 @@ def report_payload(report: OutlierReport, extra_config: dict | None = None) -> d
 def write_report_json(report: OutlierReport, path, extra_config: dict | None = None) -> None:
     payload = report_payload(report, extra_config)
     Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 
@@ -300,7 +352,7 @@ def write_flags_csv(report: OutlierReport, path) -> None:
         "amplitude": report.flags.amplitude_outliers,
         "magnitude": report.flags.magnitude_outliers,
     }
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["curve_id", "type", "vote_share", "flagged"])
         for i in range(report.n):
@@ -310,21 +362,18 @@ def write_flags_csv(report: OutlierReport, path) -> None:
 
 
 def write_index_tables_csv(tables, path) -> None:
-    """Write ``(component, IndexTable)`` pairs as one tidy CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "curve_id", "shape", "amplitude", "magnitude"])
+    """Write ``(component, IndexTable)`` pairs as one tidy CSV.
+
+    Labels (component or direction numbers, ``stringed``) are written as
+    ``str(label)``, unquoted.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("component,curve_id,shape,amplitude,magnitude\r\n")
         for label, table in tables:
-            for i in range(len(table)):
-                writer.writerow(
-                    [
-                        str(label),
-                        str(i),
-                        format_float(table.shape[i]),
-                        format_float(table.amplitude[i]),
-                        format_float(table.magnitude[i]),
-                    ]
-                )
+            columns = zip(table.shape.tolist(), table.amplitude.tolist(), table.magnitude.tolist())
+            fh.writelines(
+                f"{label},{i},{s!r},{a!r},{m!r}\r\n" for i, (s, a, m) in enumerate(columns)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +381,7 @@ def write_index_tables_csv(tables, path) -> None:
 
 
 def write_benchmark_summary_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -370,7 +419,7 @@ def write_benchmark_summary_csv(results, path) -> None:
 
 
 def write_benchmark_reps_csv(results, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "method", "scope", "rep", "tpr", "fpr"])
         for res in results:
@@ -388,7 +437,7 @@ def write_benchmark_reps_csv(results, path) -> None:
 
 
 def write_sweep_csv(points, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [

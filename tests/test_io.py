@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fmuod import (
     Baselines,
@@ -19,6 +22,7 @@ from fmuod import (
     run_method,
     threshold_sweep,
 )
+from fmuod.indices import IndexTable
 from fmuod.io import (
     LAYOUT_LONG,
     LAYOUT_WIDE,
@@ -40,6 +44,7 @@ from fmuod.io import (
     write_truth_csv,
     write_wide_csv,
 )
+from fmuod.io import _long_values_bulk, _read_long_lines
 from fmuod.simulation import SimulationSpec, generate
 
 
@@ -81,6 +86,13 @@ def test_wide_skips_single_header_row(tmp_path):
     path.write_text("t1,t2,t3\n1,2,3\n4,5,6\n")
     data = read_wide_csv(path)
     np.testing.assert_array_equal(data.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+
+def test_wide_mixed_first_row_is_data_with_a_bad_cell(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("1.0,2.0,abc\n4,5,6\n7,8,9\n")
+    with pytest.raises(ParseError, match="line 1: value 'abc' is not a number"):
+        read_wide_csv(path)
 
 
 def test_wide_header_without_rows_fails(tmp_path):
@@ -192,6 +204,204 @@ def test_long_rejects_short_grid(tmp_path):
     path.write_text("curve_id,t_index,dim_1\n0,0,1\n1,0,2\n")
     with pytest.raises(ParseError, match="grid points"):
         read_long_csv(path)
+
+
+def test_long_plain_file_takes_the_bulk_path(tmp_path, monkeypatch):
+    data = random_mv(n=5, k=6, d=3)
+    path = tmp_path / "long.csv"
+    write_long_csv(data, path)
+
+    def refuse(path, delimiter):
+        raise AssertionError("the line-by-line reader ran on a plain file")
+
+    monkeypatch.setattr("fmuod.io._read_long_lines", refuse)
+    assert read_long_csv(path).values.tobytes() == data.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,0,1\n0,1\n", "line 3: expected 3 columns, found 2"),
+        ("0,0,1,9\n0,1,2,9\n", "line 2: expected 3 columns, found 4"),
+        ("0,0,1\n0,1,3#x\n", "line 3: dim_1 '3#x' is not a number"),
+        ("0,0,1\n# note\n0,1,2\n", "line 3: expected 3 columns, found 1"),
+        ("0,0,1\n0,1.0,2\n", "line 3: t_index '1.0' is not an integer"),
+        ("0,0,1\n0,1,1e400\n", "line 3: dim_1 '1e400' is not finite"),
+        ("0,0,1\n1,-1,2\n1,0,3\n1,1,4\n", "line 3: curve_id and t_index must be >= 0"),
+        ("\n", "{path}: header but no data rows"),
+    ],
+    ids=[
+        "short-row", "long-rows", "hash-in-cell", "hash-line", "float-id", "overflow",
+        "negative-id", "no-rows",
+    ],
+)
+def test_long_bulk_parse_leniencies_still_raise(tmp_path, body, message):
+    # usecols would let ragged rows through, comments='#' would cut cells, and
+    # (1, -1) lands on the free cell (0, 1) of a 2 x 2 lattice
+    path = tmp_path / "long.csv"
+    path.write_text("curve_id,t_index,dim_1\n" + body)
+    with pytest.raises(ParseError) as err:
+        read_long_csv(path)
+    assert str(err.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "curve_id,t_index,dim_1\n0,0,1_0\n0,1,2\n",
+        "curve_id,t_index,dim_1\n\u0660,0,10\n0,\u0661,2\n",
+        'curve_id,t_index,dim_1\n"0",0,"10"\n0,1,2\n',
+        "curve_id,t_index,dim_1\n0,0,10\n  \n0,1,2\n",
+        "\n\ncurve_id,t_index,dim_1\n0,0,10\n0,1,2\n",
+    ],
+    ids=["underscore", "unicode-digits", "quoted", "whitespace-line", "header-on-line-3"],
+)
+def test_long_forms_only_python_parses_still_read(tmp_path, text):
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    np.testing.assert_array_equal(read_long_csv(path).values, [[[10.0], [2.0]]])
+
+
+@pytest.mark.parametrize("reader", [read_long_csv, _read_long_lines])
+def test_long_reads_utf8_bom_like_plain_file(tmp_path, reader):
+    data = random_mv()
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_long_csv(data, plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert reader(bom, ",").values.tobytes() == reader(plain, ",").values.tobytes()
+
+
+def test_wide_reads_utf8_bom_like_plain_file(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_bytes(b"\xef\xbb\xbft1,t2\n1,2\n")
+    np.testing.assert_array_equal(read_wide_csv(path).values, [[1.0, 2.0]])
+
+
+#: Settings for examples that each write a file under one ``tmp_path``.
+PER_FILE = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+#: Cells the bulk parse must not read differently from Python's int and float.
+AWKWARD_CELLS = [
+    "3#x", "#", "1_0", "\u0661", "\u0663.5", "3.0", "+3", " 3", "3 ", "-0", "-1", "nan",
+    "inf", "-inf", "1e400", "", "abc", "0x1", ".5", "1e5",
+]
+
+
+@st.composite
+def long_csv_files(draw):
+    """A long CSV text and its delimiter, with a few edits that may break it."""
+    n, k, d = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    delimiter = draw(st.sampled_from([",", ";", "\t"]))
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = [
+        [str(i), str(j)] + draw(st.lists(finite, min_size=d, max_size=d))
+        for i in range(n)
+        for j in range(k)
+    ]
+    rows = draw(st.permutations(rows))
+    edits = ["short", "long", "cell", "quote", "nonfinite", "duplicate", "rekey", "drop"]
+    for edit in draw(st.lists(st.sampled_from(edits), max_size=3)):
+        if not rows:
+            break
+        r = draw(st.integers(0, len(rows) - 1))
+        c = draw(st.integers(0, max(len(rows[r]) - 1, 0)))
+        if len(rows[r]) < 3 and edit in ("cell", "quote", "nonfinite", "rekey"):
+            continue
+        if edit == "short":
+            rows[r] = rows[r][:c]
+        elif edit == "long":
+            rows[r] = rows[r] + [draw(finite)]
+        elif edit == "cell":
+            rows[r][c] = draw(st.sampled_from(AWKWARD_CELLS))
+        elif edit == "quote":
+            rows[r][c] = f'"{rows[r][c]}"'
+        elif edit == "nonfinite":
+            rows[r][max(c, 2)] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400"]))
+        elif edit == "rekey":  # a duplicate key and a missing cell, same row count
+            rows[r][:2] = draw(st.sampled_from(rows))[:2]
+        elif edit == "duplicate":
+            rows.insert(r, list(rows[r]))
+        elif edit == "drop":
+            del rows[r]
+    lines = [delimiter.join(row) for row in rows]
+    header = delimiter.join(["curve_id", "t_index"] + [f"dim_{m + 1}" for m in range(d)])
+    lines.insert(0, header)
+    for filler in draw(st.lists(st.sampled_from(["", "  ", "\t", "# note"]), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return delimiter, newline.join(lines) + newline
+
+
+def read_outcome(reader, path, delimiter):
+    """The values a reader returns, or the message of its ParseError."""
+    try:
+        return reader(path, delimiter).values
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, **PER_FILE)
+@given(long_csv_files())
+def test_long_bulk_path_agrees_with_line_reader(tmp_path, case):
+    delimiter, text = case
+    path = tmp_path / "long.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = read_outcome(_read_long_lines, path, delimiter)
+    bulk = _long_values_bulk(path, delimiter)
+    if bulk is not None:
+        assert not isinstance(expected, str), f"bulk path accepted a file rejected with {expected}"
+        assert bulk.shape == expected.shape and bulk.tobytes() == expected.tobytes()
+    got = read_outcome(read_long_csv, path, delimiter)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for these rows: the writers' former loop."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+@settings(max_examples=100, **PER_FILE)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(1, 3)),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )
+)
+def test_long_writer_matches_csv_writer(tmp_path, values):
+    data = MultivariateFunctionalDataset(values, Grid.regular(values.shape[1]))
+    path = tmp_path / "long.csv"
+    write_long_csv(data, path)
+    n, k, d = values.shape
+    rows = (
+        [str(i), str(j)] + [format_float(v) for v in values[i, j]]
+        for i in range(n)
+        for j in range(k)
+    )
+    header = ["curve_id", "t_index"] + [f"dim_{m + 1}" for m in range(d)]
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
+
+
+@settings(max_examples=100, **PER_FILE)
+@given(arrays(np.float64, st.tuples(st.just(3), st.integers(1, 5)), elements=st.floats()))
+def test_index_tables_writer_matches_csv_writer(tmp_path, columns):
+    tables = [(label, IndexTable(*columns)) for label in (0, 1, "stringed")]
+    path = tmp_path / "indices.csv"
+    write_index_tables_csv(tables, path)
+    rows = (
+        [str(label), str(i)] + [format_float(col[i]) for col in columns]
+        for label, _ in tables
+        for i in range(columns.shape[1])
+    )
+    header = ["component", "curve_id", "shape", "amplitude", "magnitude"]
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
 
 
 def test_read_dataset_dispatch(tmp_path):
