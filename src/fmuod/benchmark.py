@@ -3,11 +3,17 @@
 A benchmark repeats ``generate -> detect -> score`` with per-repetition seeds
 derived from a master seed, then aggregates true- and false-positive rates
 (percentages) across repetitions.  Repetitions run one after another.
+
+The projection methods differ only in the thresholds they read off one vote
+matrix, so the votes of each repetition are collected once
+(:func:`_rep_votes`) and shared by the projection methods, the threshold
+sweep and the baseline estimate that ask for the same simulation.
 """
 from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,7 @@ from .multivariate import (
     Baselines,
     OutlierReport,
     ThresholdTriple,
+    VoteMatrix,
     collect_votes,
     detect_marginal,
     detect_projection,
@@ -99,20 +106,22 @@ def run_method(
     if config.method == METHOD_STRINGING:
         return detect_stringed(data, config.scale, config.variant, config.location)
     directions = generate_directions(config.n_directions, data.n_dims, seed)
-    if config.method == METHOD_PROJECTION_ADAPTIVE:
-        thresholds = functools.partial(select_thresholds, baselines=config.baselines)
-    elif config.method == METHOD_PROJECTION_ANY:
-        thresholds = ANY_VOTE_THRESHOLDS
-    else:
-        thresholds = config.vote_shares
     return detect_projection(
         data,
         directions,
-        thresholds,
+        _threshold_selector(config),
         config.variant,
         config.location,
         method=config.method,
     )
+
+
+def _threshold_selector(config: MethodConfig) -> Callable[[VoteMatrix], ThresholdTriple]:
+    """How a projection method reads its thresholds off a vote matrix."""
+    if config.method == METHOD_PROJECTION_ADAPTIVE:
+        return functools.partial(select_thresholds, baselines=config.baselines)
+    fixed = ANY_VOTE_THRESHOLDS if config.method == METHOD_PROJECTION_ANY else config.vote_shares
+    return lambda votes: fixed
 
 
 def scoped_flags(report: OutlierReport, scope: str) -> frozenset[int]:
@@ -196,6 +205,51 @@ def _rep_seeds(master_seed: int, rep: int) -> tuple[int, int]:
     return child_seed(master_seed, rep, 0), child_seed(master_seed, rep, 1)
 
 
+@dataclass(frozen=True)
+class _RepVotes:
+    """Truth indices and projection votes of each repetition of one simulation.
+
+    ``seconds`` is the time it took to build them.
+    """
+
+    truths: tuple[tuple[int, ...], ...]
+    votes: tuple[VoteMatrix, ...]
+    seconds: float
+
+
+@functools.lru_cache(maxsize=1)
+def _rep_votes(
+    model: str,
+    n: int,
+    k: int,
+    contamination: float,
+    seed: int,
+    reps: int,
+    n_directions: int,
+    variant: str,
+    location: str,
+) -> _RepVotes:
+    """Generate, draw directions and collect the votes of every repetition.
+
+    Repetition ``r`` generates with seed ``(seed, r, 0)`` and draws its
+    directions with seed ``(seed, r, 1)``.  The vote matrices keep no index
+    tables.  One entry is cached: ``fmuod benchmark`` runs every method of a
+    model before the next model, so its projection methods share the entry,
+    and a larger cache would only pay off for callers that repeat a seed.
+    """
+    started = time.monotonic()
+    truths = []
+    votes = []
+    for r in range(reps):
+        data_seed, method_seed = _rep_seeds(seed, r)
+        labeled = generate(SimulationSpec(model, n, k, contamination, data_seed))
+        directions = generate_directions(n_directions, labeled.data.n_dims, method_seed)
+        collected = collect_votes(labeled.data, directions, variant, location)
+        truths.append(labeled.outlier_indices)
+        votes.append(VoteMatrix(collected.votes, collected.degenerate_projections))
+    return _RepVotes(tuple(truths), tuple(votes), time.monotonic() - started)
+
+
 def run_benchmark(
     model: str,
     config: MethodConfig,
@@ -209,22 +263,41 @@ def run_benchmark(
 
     Repetition ``r`` generates with seed ``(seed, r, 0)`` and detects with
     direction seed ``(seed, r, 1)``, so its rates do not depend on how many
-    repetitions run.
+    repetitions run.  The projection methods read their flags off each
+    repetition's votes, which are reused when the previous call asked for
+    the same simulation, directions, variant and location;
+    ``runtime_seconds`` includes the time those votes took to collect either
+    way.
     """
     if reps < 1:
         raise InvalidConfig("benchmark needs at least one repetition")
+    has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
+
+    def score(report: OutlierReport, truth: tuple[int, ...]) -> tuple[float, float]:
+        return score_flags(scoped_flags(report, config.report_scope), truth, n)
+
     started = time.monotonic()
-
-    def one_rep(r: int) -> tuple[float, float]:
-        data_seed, method_seed = _rep_seeds(seed, r)
-        labeled = generate(SimulationSpec(model, n, k, contamination, data_seed))
-        report = run_method(labeled.data, config, method_seed)
-        return score_flags(scoped_flags(report, config.report_scope), labeled.outlier_indices, n)
-
-    pairs = [one_rep(r) for r in range(reps)]
+    if config.method in (METHOD_MARGINAL, METHOD_STRINGING):
+        pairs = []
+        for r in range(reps):
+            data_seed, method_seed = _rep_seeds(seed, r)
+            labeled = generate(SimulationSpec(model, n, k, contamination, data_seed))
+            report = run_method(labeled.data, config, method_seed)
+            pairs.append(score(report, labeled.outlier_indices))
+    else:
+        shared = _rep_votes(
+            model, n, k, contamination, seed, reps,
+            config.n_directions, config.variant, config.location,
+        )
+        # Charge every method the votes' build time, whether it built or reused them.
+        started = time.monotonic() - shared.seconds
+        choose = _threshold_selector(config)
+        pairs = [
+            score(OutlierReport(config.method, n, votes.flags_at(choose(votes))), truth)
+            for truth, votes in zip(shared.truths, shared.votes)
+        ]
     tpr = np.array([p[0] for p in pairs])
     fpr = np.array([p[1] for p in pairs])
-    has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
     return BenchmarkResult(
         model=model,
         method=config.method,
@@ -277,9 +350,11 @@ def threshold_sweep(
 ) -> list[SweepPoint]:
     """Score a grid of fixed vote-share triples on one model.
 
-    Votes are collected once per repetition and rescored at every triple.
-    Models without outliers are scored by false-positive rate alone (``f1``
-    is None); otherwise each point carries per-repetition F1 scores.
+    Votes are collected once per repetition, by the helper that collects
+    them for :func:`run_benchmark`'s projection methods (default variant and
+    location), and rescored at every triple.  Models without outliers are
+    scored by false-positive rate alone (``f1`` is None); otherwise each
+    point carries per-repetition F1 scores.
     """
     shares_grid = list(shares_grid)
     if not shares_grid:
@@ -287,27 +362,17 @@ def threshold_sweep(
     if reps < 1:
         raise InvalidConfig("sweep needs at least one repetition")
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
-
-    def one_rep(r: int):
-        data_seed, method_seed = _rep_seeds(seed, r)
-        labeled = generate(SimulationSpec(model, n, k, contamination, data_seed))
-        directions = generate_directions(n_directions, labeled.data.n_dims, method_seed)
-        votes = collect_votes(labeled.data, directions)
-        truth = frozenset(labeled.outlier_indices)
-        f1_row = np.empty(len(shares_grid))
-        fpr_row = np.empty(len(shares_grid))
+    shared = _rep_votes(
+        model, n, k, contamination, seed, reps, n_directions, VARIANT_STANDARD, LOCATION_MEDIAN
+    )
+    f1 = np.empty((reps, len(shares_grid)))
+    fpr = np.empty((reps, len(shares_grid)))
+    for r, (truth, votes) in enumerate(zip(shared.truths, shared.votes)):
+        truth_set = frozenset(truth)
         for s, shares in enumerate(shares_grid):
-            flags = votes.flags_at(shares)
-            flagged = scoped_flags(
-                OutlierReport("sweep", labeled.data.n, flags), report_scope
-            )
-            f1_row[s] = f1_score(flagged, truth)
-            fpr_row[s] = score_flags(flagged, labeled.outlier_indices, n)[1]
-        return f1_row, fpr_row
-
-    rows = [one_rep(r) for r in range(reps)]
-    f1 = np.stack([row[0] for row in rows])
-    fpr = np.stack([row[1] for row in rows])
+            flagged = scoped_flags(OutlierReport("sweep", n, votes.flags_at(shares)), report_scope)
+            f1[r, s] = f1_score(flagged, truth_set)
+            fpr[r, s] = score_flags(flagged, truth, n)[1]
     return [
         SweepPoint(shares, f1[:, s] if has_truth else None, fpr[:, s])
         for s, shares in enumerate(shares_grid)
@@ -324,17 +389,17 @@ def estimate_null_baselines(
     """Average false-vote shares over repeated samples of the outlier-free model.
 
     Repetition ``r`` draws M0 data with seed ``(seed, r, 0)`` and directions
-    with seed ``(seed, r, 1)``.
+    with seed ``(seed, r, 1)``; the votes are collected once per repetition
+    by the helper :func:`run_benchmark` uses, with contamination 0.
     """
     if reps < 1:
         raise InvalidConfig("baseline estimation needs at least one repetition")
+    shared = _rep_votes(
+        "M0", n, k, 0.0, seed, reps, n_directions, VARIANT_STANDARD, LOCATION_MEDIAN
+    )
     type_sums = np.zeros(len(TYPE_ORDER))
     union_sum = 0.0
-    for r in range(reps):
-        data_seed, method_seed = _rep_seeds(seed, r)
-        data = generate(SimulationSpec("M0", n, k, 0.0, data_seed)).data
-        directions = generate_directions(n_directions, data.n_dims, method_seed)
-        votes = collect_votes(data, directions)
+    for votes in shared.votes:
         type_sums += np.asarray(votes.type_shares())
         union_sum += votes.union_share()
     type_means = type_sums / reps

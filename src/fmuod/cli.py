@@ -178,21 +178,26 @@ def cmd_benchmark(args) -> int:
     if not models or not methods:
         raise InvalidConfig("benchmark needs at least one model and one method")
     baselines = fio.read_baselines(args.baselines) if args.baselines else REFERENCE_BASELINES
-    results = []
+    # Check every model and method before the first repetition runs.
     for model in models:
-        for method in methods:
-            config = bench.MethodConfig(
-                method=method,
-                report_scope=args.scope,
-                n_directions=args.directions,
-                baselines=baselines,
-                scale=args.scale,
-            )
-            results.append(
-                bench.run_benchmark(
-                    model, config, args.reps, args.n, args.k, args.alpha, args.seed
-                )
-            )
+        SimulationSpec(model, args.n, args.k, args.alpha, 0)
+    configs = [
+        bench.MethodConfig(
+            method=method,
+            report_scope=args.scope,
+            n_directions=args.directions,
+            baselines=baselines,
+            scale=args.scale,
+        )
+        for method in methods
+    ]
+    # Models outer, methods inner: the projection methods of one model share
+    # each repetition's votes.
+    results = [
+        bench.run_benchmark(model, config, args.reps, args.n, args.k, args.alpha, args.seed)
+        for model in models
+        for config in configs
+    ]
     out = _out_dir(args.out)
     fio.write_benchmark_summary_csv(results, out / "summary.csv")
     fio.write_benchmark_reps_csv(results, out / "reps.csv")

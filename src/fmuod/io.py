@@ -273,7 +273,7 @@ def write_baselines(baselines: Baselines, path) -> None:
 
 def read_baselines(path) -> Baselines:
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fmuod.benchmark
 from fmuod import (
     ANY_VOTE_THRESHOLDS,
     InvalidConfig,
@@ -17,12 +18,16 @@ from fmuod import (
     threshold_sweep,
 )
 from fmuod.benchmark import (
+    METHOD_PROJECTION_ADAPTIVE,
+    METHOD_PROJECTION_ANY,
+    METHOD_PROJECTION_FIXED,
     METHODS,
     SCOPE_MAGNITUDE,
     SCOPE_UNION,
+    _rep_votes,
     estimate_null_baselines,
 )
-from fmuod.multivariate import OutlierReport
+from fmuod.multivariate import Baselines, OutlierReport
 from fmuod.cutoffs import FlagSet
 from fmuod.simulation import SimulationSpec, generate
 
@@ -158,6 +163,152 @@ def test_benchmark_seeds_differ_between_reps():
     res = run_benchmark("M1", config, reps=6, n=40, k=20, seed=5)
     # with six different datasets the FPR draws are essentially never all equal
     assert len({float(v) for v in res.fpr}) > 1 or len({float(v) for v in res.tpr}) > 1
+
+
+# ---------------------------------------------------------------------------
+# votes shared by the projection methods
+
+PROJECTION_METHODS = (METHOD_PROJECTION_ADAPTIVE, METHOD_PROJECTION_FIXED, METHOD_PROJECTION_ANY)
+
+#: One small simulation: run_benchmark's arguments after the config.
+SIM = dict(model="M1", reps=3, n=40, k=20, contamination=0.1, seed=17)
+
+
+@pytest.fixture
+def vote_collections(monkeypatch):
+    """Empty the shared-votes cache and count the collect_votes calls after it."""
+    _rep_votes.cache_clear()
+    calls = []
+    original = fmuod.benchmark.collect_votes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fmuod.benchmark, "collect_votes", counting)
+    yield calls
+    _rep_votes.cache_clear()
+
+
+def run_sim(method, sim=SIM, **config):
+    config.setdefault("n_directions", 12)
+    return run_benchmark(
+        sim["model"], MethodConfig(method=method, **config),
+        sim["reps"], sim["n"], sim["k"], sim["contamination"], sim["seed"],
+    )
+
+
+def rate_bytes(res):
+    return res.tpr.tobytes(), res.fpr.tobytes()
+
+
+@pytest.mark.parametrize("order", [PROJECTION_METHODS, PROJECTION_METHODS[::-1]],
+                         ids=["forward", "reverse"])
+def test_projection_rates_equal_with_cold_and_warm_votes(vote_collections, order):
+    cold = {}
+    for method in order:
+        _rep_votes.cache_clear()
+        cold[method] = rate_bytes(run_sim(method))
+    _rep_votes.cache_clear()
+    warm = {method: rate_bytes(run_sim(method)) for method in order}
+    assert warm == cold
+
+
+def test_projection_methods_collect_votes_once_per_rep(vote_collections):
+    for method in PROJECTION_METHODS:
+        run_sim(method)
+    assert len(vote_collections) == SIM["reps"]
+
+
+def test_marginal_and_stringed_methods_leave_the_votes_alone(vote_collections):
+    run_sim(METHOD_PROJECTION_FIXED)
+    run_sim("FST_MAR")
+    run_sim("FST_STR")
+    run_sim(METHOD_PROJECTION_ADAPTIVE)
+    assert len(vote_collections) == SIM["reps"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"model": "M2"},
+        {"n": 41},
+        {"k": 21},
+        {"contamination": 0.2},
+        {"seed": 18},
+        {"reps": 2},
+        {"n_directions": 13},
+        {"variant": "original_absolute"},
+        {"location": "mean"},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_each_key_field_collects_the_votes_again(vote_collections, change):
+    run_sim(METHOD_PROJECTION_FIXED)
+    del vote_collections[:]
+    sim = {**SIM, **{f: v for f, v in change.items() if f in SIM}}
+    config = {f: v for f, v in change.items() if f not in SIM}
+    res = run_sim(METHOD_PROJECTION_FIXED, sim, **config)
+    assert len(vote_collections) == sim["reps"] == res.reps
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"report_scope": SCOPE_MAGNITUDE},
+        {"baselines": Baselines(0.05, 0.02, 0.02, 0.07)},
+        {"vote_shares": ThresholdTriple(0.5, 0.5, 0.5)},
+    ],
+    ids=["report_scope", "baselines", "vote_shares"],
+)
+def test_scoring_fields_reuse_the_votes(vote_collections, config):
+    run_sim(METHOD_PROJECTION_FIXED)
+    del vote_collections[:]
+    for method in PROJECTION_METHODS:
+        run_sim(method, **config)
+    assert vote_collections == []
+
+
+def test_shared_votes_keep_one_entry(vote_collections):
+    # a repeated seed is computed again once another simulation came between
+    other = {**SIM, "seed": 18}
+    for sim in (SIM, other, SIM):
+        run_sim(METHOD_PROJECTION_FIXED, sim)
+    assert len(vote_collections) == 3 * SIM["reps"]
+    assert _rep_votes.cache_info().currsize == 1
+
+
+def test_sweep_and_fixed_benchmark_share_the_votes(vote_collections):
+    threshold_sweep(
+        SIM["model"], [ThresholdTriple(0.4, 0.3, 0.3)], SIM["reps"], SIM["n"], SIM["k"],
+        SIM["contamination"], SIM["seed"], n_directions=12,
+    )
+    run_sim(METHOD_PROJECTION_FIXED)
+    assert len(vote_collections) == SIM["reps"]
+
+
+def test_shared_votes_are_read_only(vote_collections):
+    run_sim(METHOD_PROJECTION_FIXED)
+    entry = _rep_votes(SIM["model"], SIM["n"], SIM["k"], SIM["contamination"], SIM["seed"],
+                       SIM["reps"], 12, "standard", "median")
+    assert len(vote_collections) == SIM["reps"]
+    assert len(entry.votes) == len(entry.truths) == SIM["reps"]
+    for votes, truth in zip(entry.votes, entry.truths):
+        assert not votes.votes.flags.writeable
+        assert votes.tables == ()
+        assert isinstance(truth, tuple)
+        with pytest.raises(ValueError):
+            votes.votes[0, 0, 0] = not votes.votes[0, 0, 0]
+
+
+def test_reusing_call_is_charged_the_build_time(vote_collections):
+    run_sim(METHOD_PROJECTION_ADAPTIVE)
+    reused = run_sim(METHOD_PROJECTION_ANY)
+    entry = _rep_votes(SIM["model"], SIM["n"], SIM["k"], SIM["contamination"], SIM["seed"],
+                       SIM["reps"], 12, "standard", "median")
+    assert len(vote_collections) == SIM["reps"]
+    assert entry.seconds > 0.0
+    assert reused.runtime_seconds >= entry.seconds
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import fmuod.benchmark
 import fmuod.multivariate
 from fmuod import FunctionalDataset, Grid, MultivariateFunctionalDataset
 from fmuod.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PARSE, main
@@ -202,6 +203,41 @@ def test_benchmark_command(tmp_path, capsys):
     assert len(reps) == 1 + 4
 
 
+def benchmark_digests(tmp_path, *options):
+    out = tmp_path / "bench"
+    assert run("benchmark", *options, "--out", str(out)) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("summary.csv", "reps.csv")
+    }
+
+
+@pytest.mark.parametrize(
+    "options, summary_sha, reps_sha",
+    [
+        (
+            ("--model", "M0,M1", "--method", "FST_MAR,FST_PRJ,FST_PRJ2",
+             "--reps", "6", "--n", "60", "--k", "30", "--seed", "5"),
+            "0218d92dac3b222042723ffe6a029a1c968b64ea3905b1b45339a55fda6403de",
+            "1c2a8f82fb07b89ec1d392a29a5bb26f8380039f7fbaef2131199d7d93dfe9a0",
+        ),
+        (
+            ("--model", "M1,M2_2", "--method", "FST_MAR,FST_STR,FST_PRJ,FST_PRJ1,FST_PRJ2",
+             "--reps", "4", "--n", "50", "--k", "20", "--seed", "3"),
+            "7585e150ff03b4ccb1df7b86afe2e5e719cf2ced00960744c0c17d00e926d8ab",
+            "94fb7ef60b1d9b2570a6e21e45dabd934c339ce9a79d8c210e76d2c6c268f270",
+        ),
+    ],
+    ids=["three-methods", "all-methods"],
+)
+def test_benchmark_outputs_are_pinned(tmp_path, options, summary_sha, reps_sha):
+    # recorded when every projection method collected its own votes
+    assert benchmark_digests(tmp_path, *options) == {
+        "summary.csv": summary_sha,
+        "reps.csv": reps_sha,
+    }
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep"
     code = run(
@@ -230,6 +266,19 @@ def test_baselines_command_round_trips(tmp_path):
         "--method", "FST_PRJ", "--baselines", str(out / "baselines.json"),
         "--out", str(det),
     ) == 0
+
+
+def test_detect_reads_baselines_with_utf8_bom(tmp_path):
+    given = {"shape": 0.1, "amplitude": 0.02, "magnitude": 0.03, "union": 0.12}
+    rates = tmp_path / "baselines.json"
+    rates.write_bytes(b"\xef\xbb\xbf" + json.dumps(given).encode())
+    sim = simulate_into(tmp_path)
+    assert run(
+        "detect", "--input", str(sim / "data.csv"), "--layout", "long_multivariate",
+        "--method", "FST_PRJ", "--baselines", str(rates), "--out", str(tmp_path / "det"),
+    ) == 0
+    report = json.loads((tmp_path / "det" / "report.json").read_text())
+    assert report["thresholds"]["selection"]["baselines"] == given
 
 
 def test_version_flag(capsys):
@@ -390,3 +439,22 @@ def test_benchmark_unknown_model_exits_config(tmp_path):
         "--out", str(tmp_path / "out"),
     )
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "models, methods",
+    [("M1,M99", "FST_PRJ"), ("M1", "FST_MAR,BOGUS")],
+    ids=["unknown-model", "unknown-method"],
+)
+def test_benchmark_checks_every_model_and_method_before_running(
+    tmp_path, monkeypatch, capsys, models, methods
+):
+    calls = []
+    monkeypatch.setattr(fmuod.benchmark, "run_benchmark", lambda *a, **kw: calls.append(a))
+    code = run(
+        "benchmark", "--model", models, "--method", methods, "--reps", "40",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_CONFIG
+    assert calls == []
+    assert "unknown" in capsys.readouterr().err

@@ -445,6 +445,14 @@ def test_baselines_round_trip(tmp_path):
     assert read_baselines(path) == rates
 
 
+def test_baselines_read_utf8_bom_like_plain_file(tmp_path):
+    rates = Baselines(0.07, 0.01, 0.012, 0.088)
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    write_baselines(rates, plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_baselines(bom) == read_baselines(plain) == rates
+
+
 def test_baselines_bad_json(tmp_path):
     path = tmp_path / "baselines.json"
     path.write_text("{not json")
