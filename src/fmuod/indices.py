@@ -15,10 +15,19 @@ All inner products and means weight every grid point equally, so the indices
 depend on the grid only through the number of points.  Values near zero mean
 the curve resembles the reference; large values point at the corresponding
 kind of outlyingness.
+
+The reference is the pointwise median (default) or mean of the sample.  The
+median is selected at the one rank ``n // 2`` by ``np.partition``; for even
+``n`` it is averaged with the largest value below that rank.  It equals
+numpy's median in value, and in every byte unless ``+0.0`` and ``-0.0`` tie
+at the middle ranks, where the sign of the zero may differ.  Curves so large
+that a grid mean, a sum of squares or an index value overflows raise
+:class:`InvalidCurve`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,14 +68,10 @@ class ReferenceCurve:
     @classmethod
     def from_values(cls, values) -> "ReferenceCurve":
         vals = np.array(values, dtype=float)
-        centered = center_curve(vals)
-        # A mathematically constant curve centers to exactly zero; rounding in
-        # the mean must not leave noise behind that would later divide away.
-        if _is_constant(vals):
-            centered = np.zeros_like(vals)
-        vals.setflags(write=False)
-        centered.setflags(write=False)
-        return cls(vals, centered)
+        if vals.ndim != 1:
+            raise InvalidCurve("expected a single curve (one-dimensional array)")
+        refs = _center_references(vals[None])
+        return cls(refs.values[0], refs.centered[0])
 
     @property
     def k(self) -> int:
@@ -78,13 +83,47 @@ class ReferenceCurve:
         return not np.any(self.centered)
 
 
+class _ReferenceStack(NamedTuple):
+    """The references of a stack of samples, one row per sample.
+
+    ``values`` and ``centered`` are read-only ``(c, k)`` arrays, ``means``
+    holds the grid mean of each reference and ``degenerate`` marks the
+    constant ones.
+    """
+
+    values: np.ndarray
+    centered: np.ndarray
+    means: np.ndarray
+    degenerate: np.ndarray
+
+    def take(self, rows) -> "_ReferenceStack":
+        return _ReferenceStack(*(a[rows] for a in self))
+
+
+def _center_references(refs: np.ndarray) -> _ReferenceStack:
+    """Centre a ``(c, k)`` stack of reference curves in one pass.
+
+    Every reduction runs per row, so row ``j`` equals centring ``refs[j]`` on
+    its own bit for bit.  Takes ownership of ``refs`` and makes it read-only.
+    """
+    if not np.all(np.isfinite(refs)):
+        raise InvalidCurve("curve contains NaN or infinite entries")
+    with np.errstate(over="ignore"):
+        means = refs.mean(axis=1)
+    centered = refs - means[:, None]
+    # A mathematically constant curve centers to exactly zero; rounding in the
+    # mean must not leave noise behind that would later divide away.
+    centered[(refs == refs[:, :1]).all(axis=1)] = 0.0
+    if not np.all(np.isfinite(centered)):
+        raise InvalidCurve("the grid mean of a reference curve overflows")
+    refs.setflags(write=False)
+    centered.setflags(write=False)
+    return _ReferenceStack(refs, centered, means, ~centered.any(axis=1))
+
+
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise InvalidCurve(f"unknown variant {variant!r}; use one of {VARIANTS}")
-
-
-def _is_constant(values: np.ndarray) -> bool:
-    return bool(np.all(values == values.flat[0]))
 
 
 def reference_from_sample(data: FunctionalDataset, location: str = LOCATION_MEDIAN) -> ReferenceCurve:
@@ -97,24 +136,37 @@ def reference_from_sample(data: FunctionalDataset, location: str = LOCATION_MEDI
     location : str
         ``"median"`` (default, robust) or ``"mean"``.
     """
-    return _references(data.values[None], location)[0]
+    refs = _references(data.values[None], location)
+    return ReferenceCurve(refs.values[0], refs.centered[0])
 
 
-def _references(samples: np.ndarray, location: str) -> list[ReferenceCurve]:
+def _references(samples: np.ndarray, location: str) -> _ReferenceStack:
     """Pointwise location of each sample in a ``(c, n, k)`` stack of curves.
 
-    The location is taken along the curve axis of the whole stack at once;
-    each reference is then centred and tested for degeneracy on its own.
+    The location is taken along the curve axis of the whole stack at once,
+    and the references are centred together.  The median is one selection at
+    rank ``h = n // 2``: for odd ``n`` it is that order statistic, for even
+    ``n`` the mean ``(a + b) / 2`` of it and the largest value below it, as
+    numpy's median computes it.  The values equal numpy's; only the sign of
+    an exact zero may differ, when ``+0.0`` and ``-0.0`` tie at the middle
+    ranks.  The curves must be finite, so no rank is spent on NaNs.
     """
-    if samples.shape[1] < 2:
+    n = samples.shape[1]
+    if n < 2:
         raise InsufficientData("reference estimation needs at least 2 curves")
-    if location == LOCATION_MEDIAN:
-        refs = np.median(samples, axis=1)
-    elif location == LOCATION_MEAN:
-        refs = samples.mean(axis=1)
-    else:
-        raise InvalidCurve(f"unknown location {location!r}; use one of {LOCATIONS}")
-    return [ReferenceCurve.from_values(ref) for ref in refs]
+    with np.errstate(over="ignore"):
+        if location == LOCATION_MEDIAN:
+            h = n // 2
+            part = np.partition(samples, h, axis=1)
+            if n % 2:
+                refs = part[:, h].copy()
+            else:
+                refs = (part[:, :h].max(axis=1) + part[:, h]) / 2
+        elif location == LOCATION_MEAN:
+            refs = samples.mean(axis=1)
+        else:
+            raise InvalidCurve(f"unknown location {location!r}; use one of {LOCATIONS}")
+    return _center_references(refs)
 
 
 @dataclass(frozen=True)
@@ -180,50 +232,66 @@ def compute_index_table(
     if ref.is_degenerate:
         raise DegenerateReference("reference curve is constant")
 
-    shape, amplitude, magnitude = _index_columns(data.values[None], [ref], variant)[:, 0]
+    means = ref.values[None].mean(axis=1)
+    columns = _index_columns(data.values[None], ref.centered[None], means, variant)
+    shape, amplitude, magnitude = columns[:, 0]
     return IndexTable(shape, amplitude, magnitude, variant)
 
 
-def _index_columns(samples: np.ndarray, refs: list[ReferenceCurve], variant: str) -> np.ndarray:
-    """Indices of a ``(c, n, k)`` stack of samples, sample ``j`` against ``refs[j]``.
+def _index_columns(
+    samples: np.ndarray, ref_centered: np.ndarray, ref_means: np.ndarray, variant: str
+) -> np.ndarray:
+    """Indices of a ``(c, n, k)`` stack of samples, sample ``j`` against reference ``j``.
 
-    Returns a read-only ``(3, c, n)`` array holding the shape, amplitude and
-    magnitude columns of every sample.  Every reduction runs per curve, so
-    the columns of one sample do not depend on the others in the stack.
-    The references must not be degenerate.
+    The references are given by their ``(c, k)`` centred rows and ``(c,)``
+    grid means.  Returns a read-only ``(3, c, n)`` array holding the shape,
+    amplitude and magnitude columns of every sample.  Every reduction runs per
+    curve, so the columns of one sample do not depend on the others in the
+    stack.  The references must not be degenerate.
+
+    Raises
+    ------
+    InvalidCurve
+        If a sum of squares or an index value overflows.
     """
-    mu_c = np.stack([ref.centered for ref in refs])[:, None, :]
+    mu_c = ref_centered[:, None, :]
     # One BLAS dot per reference: a batched sum of squares can differ from
     # it in the last bit.
-    ref_ss = np.array([np.dot(ref.centered, ref.centered) for ref in refs])[:, None]
-    ref_mean = np.array([ref.values.mean() for ref in refs])[:, None]
+    ref_ss = np.array([np.dot(ref, ref) for ref in ref_centered])[:, None]
 
-    row_means = samples.mean(axis=2)
-    Xc = samples - row_means[:, :, None]
-    # Constant curves center to exactly zero mathematically; clear any
-    # rounding noise so their inner products vanish and amplitude is -1.
-    const = np.ptp(samples, axis=2) == 0.0
-    if np.any(const):
-        Xc[const] = 0.0
+    # Overflow shows up below as a non-finite sum of squares or index value.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        row_means = samples.mean(axis=2)
+        Xc = samples - row_means[:, :, None]
+        # Constant curves center to exactly zero mathematically; clear any
+        # rounding noise so their inner products vanish and amplitude is -1.
+        const = np.ptp(samples, axis=2) == 0.0
+        if np.any(const):
+            Xc[const] = 0.0
 
-    inner = (Xc * mu_c).sum(axis=2)
-    norm_sq = (Xc * Xc).sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = (Xc * mu_c).sum(axis=2)
+        norm_sq = (Xc * Xc).sum(axis=2)
         corr = inner / np.sqrt(norm_sq * ref_ss)
-    # The squares of a varying curve this small lose precision or underflow;
-    # take its correlation on a copy scaled to unit maximum magnitude.
-    tiny = ~const & (norm_sq < 2.0**-900)
-    if np.any(tiny):
-        ys = samples[tiny] / np.abs(samples[tiny]).max(axis=1, keepdims=True)
-        ys -= ys.mean(axis=1, keepdims=True)
-        mu = np.broadcast_to(mu_c, samples.shape)[tiny]
-        ss = np.broadcast_to(ref_ss, tiny.shape)[tiny]
-        corr[tiny] = (ys * mu).sum(axis=1) / np.sqrt((ys * ys).sum(axis=1) * ss)
-    beta = inner / ref_ss
-    columns = np.stack([1.0 - corr, beta - 1.0, row_means - beta * ref_mean])
+        # The squares of a varying curve this small lose precision or
+        # underflow; take its correlation on a copy scaled to unit maximum
+        # magnitude.
+        tiny = ~const & (norm_sq < 2.0**-900)
+        if np.any(tiny):
+            ys = samples[tiny] / np.abs(samples[tiny]).max(axis=1, keepdims=True)
+            ys -= ys.mean(axis=1, keepdims=True)
+            mu = np.broadcast_to(mu_c, samples.shape)[tiny]
+            ss = np.broadcast_to(ref_ss, tiny.shape)[tiny]
+            corr[tiny] = (ys * mu).sum(axis=1) / np.sqrt((ys * ys).sum(axis=1) * ss)
+        beta = inner / ref_ss
+        columns = np.stack([1.0 - corr, beta - 1.0, row_means - beta * ref_means[:, None]])
     # Constant curves have no shape to compare; pin their index at 1 (the
     # value of zero correlation).
     columns[0][const] = 1.0
+    # A non-finite row mean leaves the magnitude column non-finite; an
+    # infinite sum of squares would only zero the correlation or the slope.
+    if not (np.all(np.isfinite(columns)) and np.all(np.isfinite(norm_sq))
+            and np.all(np.isfinite(ref_ss))):
+        raise InvalidCurve("index values overflow; the curves are too large to index")
 
     if variant == VARIANT_ORIGINAL_ABSOLUTE:
         columns[1:] = np.abs(columns[1:])

@@ -41,6 +41,7 @@ from .indices import (
     _check_variant,
     _index_columns,
     _references,
+    _ReferenceStack,
 )
 from .seeding import child_rng
 
@@ -243,10 +244,12 @@ def project(data: MultivariateFunctionalDataset, direction) -> FunctionalDataset
 def _project_rows(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Project ``(n, k, d)`` curve values onto each row of ``vectors``: ``(c, n, k)``."""
     # Accumulate per component: elementwise kernels keep results independent
-    # of BLAS threading.
-    out = values[None, :, :, 0] * vectors[:, 0, None, None]
-    for m in range(1, values.shape[2]):
-        out += values[None, :, :, m] * vectors[:, m, None, None]
+    # of BLAS threading.  Overflow leaves non-finite curves, which the callers
+    # reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = values[None, :, :, 0] * vectors[:, 0, None, None]
+        for m in range(1, values.shape[2]):
+            out += values[None, :, :, m] * vectors[:, m, None, None]
     return out
 
 
@@ -277,24 +280,25 @@ class OutlierReport:
 # the stacked kernel and the component detectors
 
 
-def _stack_kernel(samples: np.ndarray, refs: list, variant: str) -> tuple[np.ndarray, np.ndarray]:
+def _stack_kernel(samples: np.ndarray, refs: _ReferenceStack, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """Index columns and fence masks of a contiguous ``(c, n, k)`` stack.
 
-    Sample ``j`` is indexed against ``refs[j]``, which must not be degenerate.
-    Both results have shape ``(3, c, n)``; the columns are read-only.
+    Sample ``j`` is indexed against reference ``j``, which must not be
+    degenerate.  Both results have shape ``(3, c, n)``; the columns are
+    read-only.
     """
-    columns = _index_columns(samples, refs, variant)
+    columns = _index_columns(samples, refs.centered, refs.means, variant)
     return columns, _fence_masks(columns, rules_for(variant))
 
 
 def _classify_stack(samples: np.ndarray, variant: str, location: str):
     """Tables of each sample of a stack, and its flags joined across samples."""
     refs = _references(samples, location)
-    if any(ref.is_degenerate for ref in refs):
+    if np.any(refs.degenerate):
         raise DegenerateReference("reference curve is constant")
     columns, masks = _stack_kernel(samples, refs, variant)
     flags = (frozenset(np.flatnonzero(m).tolist()) for m in masks.any(axis=1))
-    tables = [IndexTable(*columns[:, j], variant=variant) for j in range(len(refs))]
+    tables = [IndexTable(*columns[:, j], variant=variant) for j in range(samples.shape[0])]
     return tables, FlagSet(samples.shape[1], *flags)
 
 
@@ -460,12 +464,12 @@ def collect_votes(
         if not np.all(np.isfinite(curves)):
             raise InvalidCurve("projected curves contain NaN or infinite entries")
         refs = _references(curves, location)
-        kept = [j for j, ref in enumerate(refs) if not ref.is_degenerate]
+        kept = np.flatnonzero(~refs.degenerate).tolist()
         if not kept:
             continue
-        if len(kept) < len(refs):
+        if len(kept) < len(curves):
             curves = curves[kept]
-            refs = [refs[j] for j in kept]
+            refs = refs.take(kept)
         columns, masks = _stack_kernel(curves, refs, variant)
         labels = [start + j for j in kept]
         tables.extend(

@@ -115,12 +115,12 @@ def test_detect_emit_indices_projects_once_per_direction(tmp_path, monkeypatch):
     assert sum(rows) == 12
 
 
-def detect_digests(tmp_path, *options):
+def detect_digests(tmp_path, *options, n="60"):
     """sha256 of flags.csv and indices.csv of one detect on a fixed M3 sample.
 
     report.json is left out because it echoes the input path.
     """
-    out = simulate_into(tmp_path, model="M3", seed="11", n="60", k="30")
+    out = simulate_into(tmp_path, model="M3", seed="11", n=n, k="30")
     det = tmp_path / "det"
     assert run(
         "detect", "--input", str(out / "data.csv"), "--layout", "long_multivariate",
@@ -170,6 +170,40 @@ def test_detect_projection_outputs_are_pinned(tmp_path):
 def test_detect_outputs_are_pinned(tmp_path, options, flags_sha, indices_sha):
     # recorded before the cutoff rules became module constants
     assert detect_digests(tmp_path, *options) == {
+        "flags.csv": flags_sha,
+        "indices.csv": indices_sha,
+    }
+
+
+@pytest.mark.parametrize(
+    "n, options, flags_sha, indices_sha",
+    [
+        (
+            "61",
+            ("--method", "FST_PRJ"),
+            "f8634d1e5af68ae435e10c61adff3680268c21b5e3ef64509f2ce6d1e3fb0458",
+            "aa040efa1961648769a2bc7fffb01b6fbd587023a75dc86aac81ca306e02b1e8",
+        ),
+        (
+            "61",
+            ("--method", "FST_MAR"),
+            "f8c4d30d35afb914192e576db91abc87900ed6ef1245d1d37eb845ad30ebf3c8",
+            "91dbc610c506399cda782ac42f3e1f76091e6719730baa64891eda7ef0e1157e",
+        ),
+        (
+            "60",
+            ("--method", "FST_PRJ", "--location", "mean"),
+            "5ed25a86bd14426129b61db9d6f48538653440d173634457a1175914e8925745",
+            "757f935729c60a08c3156ef36515a3ffd62f9c9607540d2c165f39cf2640e436",
+        ),
+    ],
+    ids=["FST_PRJ-odd-n", "FST_MAR-odd-n", "FST_PRJ-mean"],
+)
+def test_detect_outputs_are_pinned_at_odd_n_and_mean_location(
+    tmp_path, n, options, flags_sha, indices_sha
+):
+    # recorded while the pointwise median was still np.median
+    assert detect_digests(tmp_path, *options, n=n) == {
         "flags.csv": flags_sha,
         "indices.csv": indices_sha,
     }
@@ -431,6 +465,24 @@ def test_constant_component_exits_degenerate(tmp_path, capsys):
     )
     assert code == EXIT_DEGENERATE
     assert "error: reference curve is constant" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["FST_MAR", "FST_STR", "FST_PRJ"])
+def test_overflowing_index_values_exit_degenerate(tmp_path, capsys, method):
+    # curve 5 is finite, but its grid mean (and every projection of it)
+    # overflows
+    values = np.random.default_rng(0).standard_normal((20, 10, 2))
+    values[5] = 1.7e308
+    path = tmp_path / "data.csv"
+    write_long_csv(MultivariateFunctionalDataset(values, Grid.regular(10)), path)
+    code = run(
+        "detect", "--input", str(path), "--layout", "long_multivariate",
+        "--method", method, "--emit-indices", "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_benchmark_unknown_model_exits_config(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fmuod import (
     DegenerateReference,
@@ -20,6 +21,8 @@ from fmuod.indices import (
     LOCATION_MEDIAN,
     VARIANT_ORIGINAL_ABSOLUTE,
     VARIANT_STANDARD,
+    _center_references,
+    _references,
 )
 
 
@@ -181,6 +184,81 @@ def test_reference_from_sample_rejects_unknown_location():
     data = FunctionalDataset(np.random.default_rng(0).normal(size=(3, 4)), Grid.regular(4))
     with pytest.raises(InvalidCurve):
         reference_from_sample(data, "mode")
+
+
+# A small pool makes ties, signed zeros and extreme magnitudes common.
+tie_heavy_elements = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda c: st.integers(2, 13).flatmap(
+            lambda n: st.integers(1, 5).flatmap(
+                lambda k: arrays(float, (c, n, k), elements=tie_heavy_elements)
+            )
+        )
+    )
+)
+@example(np.array([[[1.0], [3.0]]]))
+@example(np.array([[[3.0], [1.0], [2.0]]]))
+def test_selection_median_equals_np_median(samples):
+    median = _references(samples, LOCATION_MEDIAN).values
+    expected = np.median(samples, axis=1)
+    assert np.array_equal(median, expected)
+    # The bytes may differ only in the sign of a zero at a middle rank.
+    n = samples.shape[1]
+    ordered = np.sort(samples, axis=1)
+    middle = ordered[:, (n - 1) // 2 : n // 2 + 1]
+    exact = ~np.any(middle == 0.0, axis=1)
+    assert np.array_equal(median.view(np.int64)[exact], expected.view(np.int64)[exact])
+
+
+@st.composite
+def reference_rows(draw):
+    """A ``(c, k)`` stack mixing varying, constant and mean-overflowing rows."""
+    c = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(c):
+        kind = draw(st.sampled_from(["varying", "constant", "overflow"]))
+        if kind == "constant":
+            rows.append(np.full(k, draw(st.sampled_from([0.0, -3.5, 1e300, 1.7e308]))))
+        elif kind == "overflow" and k > 1:
+            rows.append(np.r_[np.full(k - 1, 1.7e308), 1.0])
+        else:
+            rows.append(draw(arrays(float, k, elements=tie_heavy_elements)))
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_rows())
+def test_bulk_references_equal_from_values(stack):
+    singles = []
+    for row in stack:
+        try:
+            singles.append(ReferenceCurve.from_values(row))
+        except InvalidCurve:
+            with pytest.raises(InvalidCurve, match="overflow"):
+                _center_references(stack.copy())
+            return
+    refs = _center_references(stack.copy())
+    for j, ref in enumerate(singles):
+        assert refs.values[j].tobytes() == ref.values.tobytes()
+        assert refs.centered[j].tobytes() == ref.centered.tobytes()
+        assert refs.degenerate[j] == ref.is_degenerate
+        if not ref.is_degenerate:
+            assert refs.means[j].tobytes() == stack[j].mean().tobytes()
+            assert refs.centered[j].tobytes() == center_curve(stack[j]).tobytes()
+
+
+def test_reference_whose_mean_overflows_is_rejected():
+    with pytest.raises(InvalidCurve, match="overflow"):
+        make_ref([1.7e308, 1.7e308, 1.0])
+    assert make_ref([1.7e308, 1.7e308, 1.7e308]).is_degenerate
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,15 @@ def test_collect_votes_errors():
         collect_votes(huge, DirectionSet(np.array([[np.sqrt(0.5), np.sqrt(0.5)]])))
 
 
+@pytest.mark.filterwarnings("error")
+def test_detect_marginal_rejects_overflowing_index_values():
+    values = np.random.default_rng(0).standard_normal((20, 10, 2))
+    values[5] = 1.7e308
+    data = MultivariateFunctionalDataset(values, Grid.regular(10))
+    with pytest.raises(InvalidCurve, match="overflow"):
+        detect_marginal(data)
+
+
 def default_mv():
     return random_mv(27)
 
