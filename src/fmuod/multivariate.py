@@ -342,7 +342,10 @@ def string_dimensions(
         block = data.values[:, :, m]
         if scale == SCALE_MINMAX:
             low = block.min()
-            span = block.max() - low
+            with np.errstate(over="ignore"):
+                span = block.max() - low
+            if not np.isfinite(span):
+                raise InvalidCurve(f"component {m} has a range too wide to rescale (overflow)")
             block = np.zeros_like(block) if span == 0.0 else (block - low) / span
         pieces.append(block)
     values = np.concatenate(pieces, axis=1)

@@ -31,14 +31,18 @@ The variants ``M1_2``, ``M2_2``, ``M2_3``, ``M3_2``, ``M3_3`` and ``M5_2``
 restrict the contamination of their base model to a subset of components (the
 subsets are an interpretation choice; see :data:`VARIANT_DIMS`).
 
-Draws happen in a fixed order (noise scales, scores, noise, any main-model
-shifts, outlier positions, contamination parameters), so regenerating with
-the same seed and contamination zero reproduces the uncontaminated part of
-every curve bit for bit.
+Generation sums the mean, scores and noise, adds any main-model term (M4's
+flat per-curve shifts, M6's oscillation), then adds every outlier's shifts in
+one indexed add, masked to the components the model contaminates.  Draws
+happen in a fixed order (noise scales, scores, noise, any main-model shifts,
+outlier positions, contamination parameters), so regenerating with the same
+seed and contamination zero reproduces the uncontaminated part of every curve
+bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -81,13 +85,16 @@ class SimulationSpec:
     def __post_init__(self):
         if self.model not in MODEL_IDS:
             raise InvalidConfig(f"unknown model {self.model!r}; use one of {MODEL_IDS}")
+        for name in ("n", "k", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise InvalidConfig(f"{name} must be an integer")
         if self.n < 1:
             raise InvalidConfig("n must be at least 1")
         if self.k < 2:
             raise InvalidConfig("k must be at least 2")
         if not (0.0 <= self.contamination <= 1.0):
             raise InvalidConfig("contamination must lie in [0, 1]")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if self.seed < 0:
             raise InvalidConfig("seed must be a non-negative integer")
 
     @property
@@ -200,6 +207,15 @@ def _shift_m6_contaminated(t: np.ndarray) -> np.ndarray:
     )
 
 
+#: Shift of every outlier of the models without contamination parameters.
+_FIXED_SHIFTS = {
+    "M0": lambda t: np.zeros((t.size, N_DIMS)),
+    "M3": lambda t: _mean_m3_contaminated(t) - _mean_oscillating(t),
+    "M4": _shift_m4_contaminated,
+    "M6": lambda t: _shift_m6_contaminated(t) - _shift_m6_main(t),
+}
+
+
 def main_mean(model: str, t: np.ndarray) -> np.ndarray:
     """Closed-form mean of the uncontaminated curves, shape ``(k, d)``."""
     base = VARIANT_DIMS.get(model, (model, None))[0]
@@ -211,94 +227,48 @@ def main_mean(model: str, t: np.ndarray) -> np.ndarray:
 def generate(spec: SimulationSpec) -> LabeledDataset:
     """Draw one labelled dataset according to ``spec``."""
     base, affected = VARIANT_DIMS.get(spec.model, (spec.model, tuple(range(N_DIMS))))
-    affected = tuple(affected)
     rng = np.random.default_rng(spec.seed)
     grid = Grid.regular(spec.k)
     t = grid.points
-    n, k = spec.n, spec.k
+    n, n_out = spec.n, spec.n_outliers
 
     psi = multivariate_eigenfunctions(grid)
     sigma = rng.uniform(0.1, 0.3, N_DIMS)
     scores = rng.standard_normal((n, N_COMPONENTS)) * np.sqrt(score_variances())
-    noise = rng.standard_normal((n, k, N_DIMS)) * sigma
-
+    noise = rng.standard_normal((n, spec.k, N_DIMS)) * sigma
     values = main_mean(base, t)[None] + np.einsum("nm,mdk->nkd", scores, psi) + noise
     if base == "M4":
-        # Constant per-curve shifts are part of the main model; outlier rows
-        # get the contaminated shift below instead.
-        flat_shifts = rng.uniform(-2.1, 2.1, (n, N_DIMS))
+        term = rng.uniform(-2.1, 2.1, (n, 1, N_DIMS))
+    elif base == "M6":
+        term = _shift_m6_main(t)
+    positions = np.sort(rng.choice(n, n_out, replace=False))
 
-    n_out = spec.n_outliers
-    outliers: tuple[int, ...] = ()
-    info: dict[int, dict] = {}
-    if n_out > 0:
-        positions = np.sort(rng.choice(n, n_out, replace=False))
-        outliers = tuple(int(i) for i in positions)
-        out_mask = np.zeros(n, dtype=bool)
-        out_mask[positions] = True
+    # Main-model terms beyond the mean.  M4 outliers trade their flat shift
+    # for the contaminated oscillation; M6 outliers keep the main one.
+    if base in ("M4", "M6"):
+        carries = np.ones((n, 1, 1), dtype=bool)
+        carries[positions] = base == "M6"
+        np.add(values, term, out=values, where=carries)
 
-        if base == "M1":
-            signs = rng.choice([-1.0, 1.0], size=(n_out, N_DIMS))
-            for a, i in enumerate(outliers):
-                shift = np.zeros((k, N_DIMS))
-                shift[:, affected] = 8.0 * signs[a, affected]
-                values[i] += shift
-                info[i] = {"signs": [float(s) for s in signs[a]]}
-        elif base == "M2":
-            signs = rng.choice([-1.0, 1.0], size=(n_out, N_DIMS))
-            starts = rng.uniform(0.0, 0.9, n_out)
-            for a, i in enumerate(outliers):
-                window = (t >= starts[a]) & (t <= starts[a] + 0.1)
-                shift = np.zeros((k, N_DIMS))
-                for j in affected:
-                    shift[window, j] = 8.0 * signs[a, j]
-                values[i] += shift
-                info[i] = {
-                    "signs": [float(s) for s in signs[a]],
-                    "window_start": float(starts[a]),
-                }
-        elif base == "M3":
-            swap = _mean_m3_contaminated(t) - _mean_oscillating(t)
-            shift = np.zeros((k, N_DIMS))
-            shift[:, affected] = swap[:, affected]
-            for i in outliers:
-                values[i] += shift
-                info[i] = {}
-        elif base == "M4":
-            contaminated = _shift_m4_contaminated(t)
-            for i in range(n):
-                if out_mask[i]:
-                    shift = np.zeros((k, N_DIMS))
-                    shift[:, affected] = contaminated[:, affected]
-                    values[i] += shift
-                    info[i] = {}
-                else:
-                    values[i] += flat_shifts[i]
-        elif base == "M5":
-            scales = rng.exponential(scale=0.5, size=(n_out, N_DIMS))
-            mean = _mean_oscillating(t)
-            for a, i in enumerate(outliers):
-                shift = np.zeros((k, N_DIMS))
-                for j in affected:
-                    shift[:, j] = (2.0 + scales[a, j]) * mean[:, j]
-                    if j == 2:
-                        shift[:, j] -= 6.0
-                values[i] += shift
-                info[i] = {"scales": [float(s) for s in scales[a]]}
-        elif base == "M6":
-            u_main = _shift_m6_main(t)
-            u_con = _shift_m6_contaminated(t)
-            values += u_main[None]
-            shift = np.zeros((k, N_DIMS))
-            shift[:, affected] = (u_con - u_main)[:, affected]
-            for i in outliers:
-                values[i] += shift
-                info[i] = {}
+    params: dict[str, np.ndarray] = {}
+    if base in ("M1", "M2"):
+        params["signs"] = rng.choice([-1.0, 1.0], size=(n_out, N_DIMS))
+        window = True
+        if base == "M2":
+            params["window_start"] = rng.uniform(0.0, 0.9, n_out)
+            start = params["window_start"][:, None]
+            window = ((t >= start) & (t <= start + 0.1))[..., None]
+        shifts = np.where(window, 8.0 * params["signs"][:, None], 0.0)
+    elif base == "M5":
+        params["scales"] = rng.exponential(scale=0.5, size=(n_out, N_DIMS))
+        shifts = (2.0 + params["scales"][:, None]) * _mean_oscillating(t)
+        shifts[..., 2] -= 6.0
     else:
-        if base == "M4":
-            values += flat_shifts[:, None, :]
-        elif base == "M6":
-            values += _shift_m6_main(t)[None]
+        shifts = _FIXED_SHIFTS[base](t)
+    # ``shifts`` broadcasts to ``(n_out, k, d)``; the mask drops unaffected components.
+    values[positions] += np.where(np.isin(np.arange(N_DIMS), affected), shifts, 0.0)
 
+    outliers = positions.tolist()
+    info = {i: {key: v[a].tolist() for key, v in params.items()} for a, i in enumerate(outliers)}
     data = MultivariateFunctionalDataset(values, grid)
-    return LabeledDataset(data, outliers, info, spec)
+    return LabeledDataset(data, tuple(outliers), info, spec)

@@ -209,6 +209,75 @@ def test_detect_outputs_are_pinned_at_odd_n_and_mean_location(
     }
 
 
+@pytest.mark.parametrize(
+    "model, alpha, data_sha, truth_sha",
+    [
+        ("M0", "0.25",
+         "5cb732655b0b1e065cbccbb5c4580a4d7e1e99d362a97859ffbf35f3a748b7e5",
+         "7f43b164e3966ae5b17df1996db92c76d513670e96dbb0eae68713b5c7df5de6"),
+        ("M1", "0.25",
+         "b25671f92a00eff1879b8e393c60045d7a79857702f7c3535bbd9f9205e08937",
+         "72f807d708c1ce7ebe246f86407c6b95f8b5eff56ce2d44733eea3d6ab46a249"),
+        ("M2", "0.25",
+         "f6d904dc0b4ef7ff55a6bcaee000b2b0ad89f1b47e5de12684ba728e852a2ab4",
+         "8b016c2c9afdfaee19d312c803d0520d71d4fdc5a20834d1c39f8f518b917ec3"),
+        ("M3", "0.25",
+         "7d6ab2c7640b3b2932fe4f958272980135fad8ebb07e8106a62aebe601e5a148",
+         "cfbcb8ddea3fcf9e82b44fe6f54f918df31986109aa23ffd78a9238f9b3b0043"),
+        ("M4", "0.25",
+         "d1fb95ce04f3252245164696145817df0c808981ef7e7e5ff0b09355b22c5153",
+         "7a8237effc599a51b322b173557d6aa28e2ed4c173be7d238ebb02f4892c08c5"),
+        ("M5", "0.25",
+         "4e05241667c3897c8a30be946da19874ec2756c50255d29c327247330f63104d",
+         "ea6eab0275fab08bcf06f93129b3c2246d3b2ca0570a6a9fc6f19544cd6dc784"),
+        ("M6", "0.25",
+         "6341cf791f6753d30149ae8305c1354163639b5d9e07249f9685c651d7b99933",
+         "cfbcb8ddea3fcf9e82b44fe6f54f918df31986109aa23ffd78a9238f9b3b0043"),
+        ("M1_2", "0.25",
+         "738ca73606fd76848542c83b7371f80d95e5ae650a7c51d6340a592405a72139",
+         "72f807d708c1ce7ebe246f86407c6b95f8b5eff56ce2d44733eea3d6ab46a249"),
+        ("M2_2", "0.25",
+         "04cf1e31a850f48c49caf429876be81aedfe04a4b7d911d59cc5b5bcf3f0fc10",
+         "8b016c2c9afdfaee19d312c803d0520d71d4fdc5a20834d1c39f8f518b917ec3"),
+        ("M2_3", "0.25",
+         "4fcc488004210a8d5e4aabce1a6397b3dbc403bd114fabe53ef36d76cb7bdfaf",
+         "8b016c2c9afdfaee19d312c803d0520d71d4fdc5a20834d1c39f8f518b917ec3"),
+        ("M3_2", "0.25",
+         "acc4924882e55b9527d905a6c57b75aaa4f6e6d58a908851926c911832158c8a",
+         "cfbcb8ddea3fcf9e82b44fe6f54f918df31986109aa23ffd78a9238f9b3b0043"),
+        ("M3_3", "0.25",
+         "038b89676fcc22d3f04114e3334eef7e2ab8d8986a64353b85ed36cb1874687c",
+         "cfbcb8ddea3fcf9e82b44fe6f54f918df31986109aa23ffd78a9238f9b3b0043"),
+        ("M5_2", "0.25",
+         "6581597d57192e86468220a189b89d23ccf85759e7f31e18e905e920f71b441a",
+         "ea6eab0275fab08bcf06f93129b3c2246d3b2ca0570a6a9fc6f19544cd6dc784"),
+        ("M4", "0",
+         "ca34b5c021360c1b5478142c9190328841c530c7d24866aa42a495d657fad526",
+         "7f43b164e3966ae5b17df1996db92c76d513670e96dbb0eae68713b5c7df5de6"),
+        ("M4", "1.0",
+         "642a2c8e55cd4fd05f12ccb16bacf99bf659935122b16199bc3d9c30f44537b0",
+         "29c57f0e75781c4764c74a324dac077afcbd184f44b9abd6e99713e3d34dd733"),
+        ("M6", "0",
+         "22355c117d93caf68cbac6dd2efb5c82388e1929c0b8c2d55ccafc7df8bfe71e",
+         "7f43b164e3966ae5b17df1996db92c76d513670e96dbb0eae68713b5c7df5de6"),
+        ("M6", "1.0",
+         "152c11afacea47cf2355417fe3382ad8b84efbd06cf1edb69de2b248a25bccf7",
+         "29c57f0e75781c4764c74a324dac077afcbd184f44b9abd6e99713e3d34dd733"),
+    ],
+)
+def test_simulate_outputs_are_pinned(tmp_path, model, alpha, data_sha, truth_sha):
+    # recorded while each model still contaminated its outliers one by one
+    out = tmp_path / "sim"
+    assert run(
+        "simulate", "--model", model, "--n", "12", "--k", "15", "--alpha", alpha,
+        "--seed", "2", "--out", str(out),
+    ) == 0
+    assert {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("data.csv", "truth.csv")
+    } == {"data.csv": data_sha, "truth.csv": truth_sha}
+
+
 def test_detect_explicit_taus(tmp_path):
     out = simulate_into(tmp_path)
     det = tmp_path / "det"
@@ -483,6 +552,23 @@ def test_overflowing_index_values_exit_degenerate(tmp_path, capsys, method):
     assert code == EXIT_DEGENERATE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_minmax_range_exits_degenerate(tmp_path, capsys):
+    # both curves are finite, but the pooled range of every component is not
+    values = np.random.default_rng(0).standard_normal((20, 10, 2))
+    values[5] = 1.7e308
+    values[6] = -1.7e308
+    path = tmp_path / "data.csv"
+    write_long_csv(MultivariateFunctionalDataset(values, Grid.regular(10)), path)
+    code = run(
+        "detect", "--input", str(path), "--layout", "long_multivariate",
+        "--method", "FST_STR", "--scale", "minmax", "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("error: component 0 ") and err.count("\n") == 1
 
 
 def test_benchmark_unknown_model_exits_config(tmp_path):

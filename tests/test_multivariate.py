@@ -128,6 +128,16 @@ def test_string_zero_range_dimension_maps_to_zero():
     np.testing.assert_array_equal(strung.values[:, 5:], np.zeros((4, 5)))
 
 
+@pytest.mark.filterwarnings("error")
+def test_string_minmax_rejects_overflowing_range():
+    values = np.random.default_rng(0).standard_normal((20, 10, 2))
+    values[5, :, 1] = 1.7e308
+    values[6, :, 1] = -1.7e308
+    data = MultivariateFunctionalDataset(values, Grid.regular(10))
+    with pytest.raises(InvalidCurve, match="component 1 "):
+        string_dimensions(data, SCALE_MINMAX)
+
+
 def test_string_grid_keeps_spacing_and_start():
     data = random_mv(3, k=10, d=3)
     strung = string_dimensions(data)

@@ -112,6 +112,19 @@ def test_spec_validation():
         SimulationSpec(seed=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("n", 10.0), ("k", 20.0), ("seed", 3.0), ("seed", "3"), ("n", None)]
+)
+def test_spec_rejects_non_integer_sizes_and_seed(field, value):
+    with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+        SimulationSpec("M1", **{field: value})
+
+
+def test_spec_accepts_numpy_integers():
+    spec = SimulationSpec("M1", n=np.int64(10), k=np.int32(20), seed=np.uint64(3))
+    assert generate(spec).data.values.shape == (10, 20, N_DIMS)
+
+
 def test_outlier_count_uses_floor():
     assert SimulationSpec("M1", n=105, contamination=0.1).n_outliers == 10
     assert SimulationSpec("M1", n=100, contamination=0.099).n_outliers == 9
