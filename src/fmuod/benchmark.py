@@ -15,6 +15,7 @@ import functools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -65,6 +66,14 @@ SCOPES = (SCOPE_UNION, SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE)
 DEFAULT_N_DIRECTIONS = 60
 
 
+def _check_count(name: str, value, message: str) -> None:
+    """Reject a count that is not an integer (``bool`` included) or is below one."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidConfig(message)
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     """A detection method plus everything needed to run it."""
@@ -83,8 +92,7 @@ class MethodConfig:
             raise InvalidConfig(f"unknown method {self.method!r}; use one of {METHODS}")
         if self.report_scope not in SCOPES:
             raise InvalidConfig(f"unknown scope {self.report_scope!r}; use one of {SCOPES}")
-        if self.n_directions < 1:
-            raise InvalidConfig("n_directions must be at least 1")
+        _check_count("n_directions", self.n_directions, "n_directions must be at least 1")
         if self.scale not in SCALES:
             raise InvalidConfig(f"unknown scale {self.scale!r}; use one of {SCALES}")
         if self.variant not in VARIANTS:
@@ -269,8 +277,7 @@ def run_benchmark(
     ``runtime_seconds`` includes the time those votes took to collect either
     way.
     """
-    if reps < 1:
-        raise InvalidConfig("benchmark needs at least one repetition")
+    _check_count("reps", reps, "benchmark needs at least one repetition")
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
 
     def score(report: OutlierReport, truth: tuple[int, ...]) -> tuple[float, float]:
@@ -359,8 +366,8 @@ def threshold_sweep(
     shares_grid = list(shares_grid)
     if not shares_grid:
         raise InvalidConfig("sweep needs at least one vote-share triple")
-    if reps < 1:
-        raise InvalidConfig("sweep needs at least one repetition")
+    _check_count("reps", reps, "sweep needs at least one repetition")
+    _check_count("n_directions", n_directions, "n_directions must be at least 1")
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
     shared = _rep_votes(
         model, n, k, contamination, seed, reps, n_directions, VARIANT_STANDARD, LOCATION_MEDIAN
@@ -392,8 +399,8 @@ def estimate_null_baselines(
     with seed ``(seed, r, 1)``; the votes are collected once per repetition
     by the helper :func:`run_benchmark` uses, with contamination 0.
     """
-    if reps < 1:
-        raise InvalidConfig("baseline estimation needs at least one repetition")
+    _check_count("reps", reps, "baseline estimation needs at least one repetition")
+    _check_count("n_directions", n_directions, "n_directions must be at least 1")
     shared = _rep_votes(
         "M0", n, k, 0.0, seed, reps, n_directions, VARIANT_STANDARD, LOCATION_MEDIAN
     )

@@ -7,6 +7,11 @@ indices are right-skewed by construction, so only their upper tail is
 tested; amplitude and magnitude are signed and tested on both tails, except
 in ``original_absolute`` tables, which hold their absolute values and are
 tested on the upper tail only.
+
+The quartiles are numpy's default linear quartiles, read at the virtual rank
+``(n - 1) q`` for ``q`` = 0.25 and 0.75 and taken from one selection of the
+ranks around both.  They have the same values as numpy's ``percentile``; only
+the sign of a zero quartile may differ, which no fence comparison can see.
 """
 from __future__ import annotations
 
@@ -75,9 +80,11 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
 
     Notes
     -----
-    Quartiles use linear interpolation.  The fences sit
-    :data:`WHISKER_FACTOR` interquartile ranges beyond them; values exactly
-    on a fence are not flagged.
+    The quartiles are numpy's default linear quartiles at the virtual rank
+    ``(n - 1) q``, taken from one selection; they equal numpy's
+    ``percentile`` in value, and only the sign of a zero quartile may differ.
+    The fences sit :data:`WHISKER_FACTOR` interquartile ranges beyond them;
+    values exactly on a fence are not flagged.
 
     No minimum spread is applied.  When ties make the interquartile range
     zero, both fences sit on the common quartile, so any value that differs
@@ -93,6 +100,27 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
     return frozenset(np.nonzero(mask)[0].tolist())
 
 
+def _quartiles(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and third quartiles along the last axis, with that axis kept.
+
+    One selection places the ranks ``floor((n - 1) q)`` and the one above it
+    for both quartiles; each quartile interpolates between them by numpy's
+    linear rule.  The columns must be finite, so no rank is spent on NaNs.
+    """
+    n = columns.shape[-1]
+    virtual = [(n - 1) * q for q in (0.25, 0.75)]
+    below = [int(v) for v in virtual]
+    # A set of Python ints, not np.unique: that one imports numpy.ma.
+    part = np.partition(columns, sorted({r + s for r in below for s in (0, 1)}), axis=-1)
+    quartiles = []
+    for v, r in zip(virtual, below):
+        a, b = part[..., r:r + 1], part[..., r + 1:r + 2]
+        g = v - r
+        # numpy's _lerp: interpolate from the nearer end.
+        quartiles.append(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+    return quartiles[0], quartiles[1]
+
+
 def _fence_masks(columns: np.ndarray, rules) -> np.ndarray:
     """Boolean masks of the entries strictly beyond the boxplot whiskers.
 
@@ -105,7 +133,7 @@ def _fence_masks(columns: np.ndarray, rules) -> np.ndarray:
         raise InsufficientData(
             f"boxplot cutoff needs at least {MIN_CUTOFF_SAMPLE} values, got {n}"
         )
-    q1, q3 = np.percentile(columns, [25.0, 75.0], axis=-1, keepdims=True)
+    q1, q3 = _quartiles(columns)
     iqr = q3 - q1
     masks = columns > q3 + WHISKER_FACTOR * iqr
     for t, rule in enumerate(rules):

@@ -100,6 +100,15 @@ class _ReferenceStack(NamedTuple):
         return _ReferenceStack(*(a[rows] for a in self))
 
 
+def _constant_rows(curves: np.ndarray) -> np.ndarray:
+    """Mask of the curves (along the last axis) whose points all equal the first.
+
+    ``+0.0`` equals ``-0.0``.  On finite curves this marks the same curves as
+    a zero range, without a subtraction that can overflow.
+    """
+    return (curves == curves[..., :1]).all(axis=-1)
+
+
 def _center_references(refs: np.ndarray) -> _ReferenceStack:
     """Centre a ``(c, k)`` stack of reference curves in one pass.
 
@@ -113,7 +122,7 @@ def _center_references(refs: np.ndarray) -> _ReferenceStack:
     centered = refs - means[:, None]
     # A mathematically constant curve centers to exactly zero; rounding in the
     # mean must not leave noise behind that would later divide away.
-    centered[(refs == refs[:, :1]).all(axis=1)] = 0.0
+    centered[_constant_rows(refs)] = 0.0
     if not np.all(np.isfinite(centered)):
         raise InvalidCurve("the grid mean of a reference curve overflows")
     refs.setflags(write=False)
@@ -263,9 +272,11 @@ def _index_columns(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         row_means = samples.mean(axis=2)
         Xc = samples - row_means[:, :, None]
-        # Constant curves center to exactly zero mathematically; clear any
-        # rounding noise so their inner products vanish and amplitude is -1.
-        const = np.ptp(samples, axis=2) == 0.0
+        # Constant curves (every point equal to the first, tested without a
+        # range that could overflow) center to exactly zero mathematically;
+        # clear any rounding noise so their inner products vanish and
+        # amplitude is -1.
+        const = _constant_rows(samples)
         if np.any(const):
             Xc[const] = 0.0
 

@@ -41,6 +41,7 @@ bit for bit.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -86,7 +87,8 @@ class SimulationSpec:
         if self.model not in MODEL_IDS:
             raise InvalidConfig(f"unknown model {self.model!r}; use one of {MODEL_IDS}")
         for name in ("n", "k", "seed"):
-            if not isinstance(getattr(self, name), Integral):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
                 raise InvalidConfig(f"{name} must be an integer")
         if self.n < 1:
             raise InvalidConfig("n must be at least 1")
@@ -144,6 +146,14 @@ def multivariate_eigenfunctions(grid: Grid) -> np.ndarray:
                 wave = np.sin(angle) if m % 2 == 1 else np.cos(angle)
                 out[m, j] = np.sqrt(2.0 / N_DIMS) * wave
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _eigenfunctions(k: int) -> np.ndarray:
+    """Read-only :func:`multivariate_eigenfunctions` on the regular grid of ``k`` points."""
+    psi = multivariate_eigenfunctions(Grid.regular(k))
+    psi.setflags(write=False)
+    return psi
 
 
 def _mean_m0(t: np.ndarray) -> np.ndarray:
@@ -232,7 +242,7 @@ def generate(spec: SimulationSpec) -> LabeledDataset:
     t = grid.points
     n, n_out = spec.n, spec.n_outliers
 
-    psi = multivariate_eigenfunctions(grid)
+    psi = _eigenfunctions(spec.k)
     sigma = rng.uniform(0.1, 0.3, N_DIMS)
     scores = rng.standard_normal((n, N_COMPONENTS)) * np.sqrt(score_variances())
     noise = rng.standard_normal((n, spec.k, N_DIMS)) * sigma

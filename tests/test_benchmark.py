@@ -98,6 +98,48 @@ def test_method_config_validation():
         MethodConfig(method="FST_MAR", location="bogus")
 
 
+@pytest.mark.parametrize("value", [2.5, True, "3", None])
+def test_method_config_rejects_non_integer_direction_counts(value):
+    with pytest.raises(InvalidConfig, match="n_directions must be an integer"):
+        MethodConfig(method="FST_PRJ", n_directions=value)
+
+
+def test_method_config_accepts_numpy_integer_direction_counts():
+    assert MethodConfig(method="FST_PRJ", n_directions=np.int64(3)).n_directions == 3
+
+
+SHARES = [ThresholdTriple(0.4, 0.3, 0.3)]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda reps: run_benchmark("M1", MethodConfig("FST_MAR"), reps, n=20, k=10),
+        lambda reps: run_benchmark("M1", MethodConfig("FST_PRJ", n_directions=3), reps, n=20, k=10),
+        lambda reps: threshold_sweep("M1", SHARES, reps, n=20, k=10, n_directions=3),
+        lambda reps: estimate_null_baselines(reps, n=20, k=10, n_directions=3),
+    ],
+    ids=["benchmark_marginal", "benchmark_projection", "sweep", "baselines"],
+)
+@pytest.mark.parametrize("reps", [2.5, True, 2.0])
+def test_entry_points_reject_non_integer_reps(call, reps):
+    with pytest.raises(InvalidConfig, match="reps must be an integer"):
+        call(reps)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n_dirs: threshold_sweep("M1", SHARES, 2, n=20, k=10, n_directions=n_dirs),
+        lambda n_dirs: estimate_null_baselines(2, n=20, k=10, n_directions=n_dirs),
+    ],
+    ids=["sweep", "baselines"],
+)
+def test_vote_entry_points_reject_non_integer_direction_counts(call):
+    with pytest.raises(InvalidConfig, match="n_directions must be an integer"):
+        call(2.5)
+
+
 def test_run_method_dispatches_every_method():
     data = generate(SimulationSpec("M1", n=40, k=25, contamination=0.1, seed=11)).data
     for method in METHODS:

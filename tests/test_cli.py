@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,3 +601,35 @@ def test_benchmark_checks_every_model_and_method_before_running(
     assert code == EXIT_CONFIG
     assert calls == []
     assert "unknown" in capsys.readouterr().err
+
+
+NUMPY_MA_PROBE = textwrap.dedent(
+    """
+    import sys
+    from fmuod.benchmark import METHODS, MethodConfig, run_benchmark
+    from fmuod.cli import main
+
+    out = sys.argv[1]
+    assert main(["simulate", "--model", "M3", "--n", "24", "--k", "12", "--seed", "1",
+                 "--out", out + "/sim"]) == 0
+    for method in METHODS:
+        assert main(["detect", "--input", out + "/sim/data.csv", "--layout",
+                     "long_multivariate", "--method", method, "--directions", "6",
+                     "--emit-indices", "--out", out + "/" + method]) == 0
+        run_benchmark("M1", MethodConfig(method, n_directions=6), 2, n=24, k=12)
+    print("numpy.ma" in sys.modules)
+    """
+)
+
+
+def test_detect_and_benchmark_do_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, and it stays resident once imported; a
+    # fresh interpreter shows whether fmuod's own calls pull it in.
+    src = str(Path(fmuod.benchmark.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmuod import (
@@ -14,8 +14,15 @@ from fmuod import (
     classify_outliers,
     compute_index_table,
 )
-from fmuod.cutoffs import RULE_TWO_SIDED, RULE_UPPER_ONLY, WHISKER_FACTOR, rules_for
-from fmuod.indices import VARIANT_ORIGINAL_ABSOLUTE
+from fmuod.cutoffs import (
+    RULE_TWO_SIDED,
+    RULE_UPPER_ONLY,
+    WHISKER_FACTOR,
+    _fence_masks,
+    _quartiles,
+    rules_for,
+)
+from fmuod.indices import VARIANT_ORIGINAL_ABSOLUTE, VARIANT_STANDARD
 
 
 def test_boxplot_flags_single_spike():
@@ -135,3 +142,75 @@ def test_classify_defaults_follow_table_variant():
     table = compute_index_table(data, ref, VARIANT_ORIGINAL_ABSOLUTE)
     flags = classify_outliers(table)
     assert 4 in flags.magnitude_outliers
+
+
+# ---------------------------------------------------------------------------
+# the quartiles against np.percentile
+
+# A small pool makes ties, signed zeros and extreme magnitudes common.
+TIE_POOL = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300])
+
+
+@st.composite
+def fence_columns(draw):
+    """A ``(3, c, n)`` stack of index columns, n from 4 to 300, mostly tied."""
+    c = draw(st.integers(1, 2))
+    n = draw(st.integers(4, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(TIE_POOL, draw(st.integers(1, TIE_POOL.size)), replace=False)
+    pool = np.concatenate([pool, rng.standard_normal(draw(st.integers(0, 3)))])
+    return rng.choice(pool, (3, c, n))
+
+
+def percentile_fence_masks(columns, rules):
+    """The fences as ``np.percentile`` quartiles give them."""
+    q1, q3 = np.percentile(columns, [25.0, 75.0], axis=-1, keepdims=True)
+    iqr = q3 - q1
+    masks = columns > q3 + WHISKER_FACTOR * iqr
+    for t, rule in enumerate(rules):
+        if rule == RULE_TWO_SIDED:
+            masks[t] |= columns[t] < q1[t] - WHISKER_FACTOR * iqr[t]
+    return masks
+
+
+FENCE_EXAMPLES = [
+    np.array([[[3.0, -1.0, 0.0, 2.0]]] * 3),  # n = 4: (n - 1) q = 0.75 and 2.25
+    np.array([[[0.0, 7.0, -0.0, 1.0, 5.0]]] * 3),  # n = 5: integer virtual ranks
+    np.full((3, 2, 9), 2.5),  # all equal
+    np.array([[[0.0, -0.0, -0.0, 0.0, 0.0, -0.0]]] * 3),  # all equal, mixed zero signs
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fence_columns())
+@example(FENCE_EXAMPLES[0])
+@example(FENCE_EXAMPLES[1])
+@example(FENCE_EXAMPLES[2])
+@example(FENCE_EXAMPLES[3])
+# The quartile neighbours differ by more than the largest float, so numpy's
+# rule yields NaN at an integer virtual rank; the selection must too.
+@example(np.array([[[1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308]]]))
+def test_quartiles_equal_np_percentile(columns):
+    with np.errstate(over="ignore", invalid="ignore"):
+        quartiles = _quartiles(columns)
+        expected = np.percentile(columns, [25.0, 75.0], axis=-1, keepdims=True)
+    for got, want in zip(quartiles, expected):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        # The bytes may differ only in the sign of a zero quartile.
+        nonzero = want != 0.0
+        assert np.array_equal(got.view(np.int64)[nonzero], want.view(np.int64)[nonzero])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fence_columns(),
+    st.sampled_from([rules_for(VARIANT_STANDARD), rules_for(VARIANT_ORIGINAL_ABSOLUTE)]),
+)
+@example(FENCE_EXAMPLES[0], rules_for(VARIANT_STANDARD))
+@example(FENCE_EXAMPLES[1], rules_for(VARIANT_STANDARD))
+@example(FENCE_EXAMPLES[2], rules_for(VARIANT_ORIGINAL_ABSOLUTE))
+@example(FENCE_EXAMPLES[3], rules_for(VARIANT_STANDARD))
+def test_fence_masks_equal_percentile_fences(columns, rules):
+    masks = _fence_masks(columns, rules)
+    assert masks.tobytes() == percentile_fence_masks(columns, rules).tobytes()

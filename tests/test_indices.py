@@ -22,6 +22,7 @@ from fmuod.indices import (
     VARIANT_ORIGINAL_ABSOLUTE,
     VARIANT_STANDARD,
     _center_references,
+    _constant_rows,
     _references,
 )
 
@@ -253,6 +254,40 @@ def test_bulk_references_equal_from_values(stack):
         if not ref.is_degenerate:
             assert refs.means[j].tobytes() == stack[j].mean().tobytes()
             assert refs.centered[j].tobytes() == center_curve(stack[j]).tobytes()
+
+
+@st.composite
+def curve_stacks(draw):
+    """A ``(c, n, k)`` stack of finite curves, many constant or with tiny or huge ranges."""
+    c = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 8))
+    curves = []
+    for _ in range(c * n):
+        kind = draw(st.sampled_from(["constant", "signed_zeros", "subnormal", "huge", "tied"]))
+        if kind == "constant":
+            curves.append(np.full(k, draw(st.sampled_from([0.0, -3.5, 5e-324, 1.7e308]))))
+        elif kind == "signed_zeros":
+            curves.append(draw(arrays(float, k, elements=st.sampled_from([0.0, -0.0]))))
+        elif kind == "subnormal":
+            low = draw(st.sampled_from([0.0, -5e-324, 1e-310]))
+            curves.append(draw(arrays(float, k, elements=st.sampled_from([low, low + 5e-324]))))
+        elif kind == "huge":
+            curves.append(draw(arrays(float, k, elements=st.sampled_from([1.7e308, -1.7e308]))))
+        else:
+            curves.append(draw(arrays(float, k, elements=tie_heavy_elements)))
+    return np.array(curves).reshape(c, n, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_stacks())
+@example(np.array([[[0.0, -0.0, 0.0]]]))
+@example(np.array([[[0.0, 5e-324]]]))
+@example(np.array([[[1.7e308, -1.7e308]]]))
+def test_constant_rows_equal_zero_range(samples):
+    with np.errstate(over="ignore"):
+        expected = np.ptp(samples, axis=-1) == 0.0
+    assert np.array_equal(_constant_rows(samples), expected)
 
 
 def test_reference_whose_mean_overflows_is_rejected():

@@ -14,6 +14,7 @@ from fmuod.simulation import (
     N_COMPONENTS,
     N_DIMS,
     VARIANT_DIMS,
+    _eigenfunctions,
     main_mean,
 )
 
@@ -83,6 +84,13 @@ def test_plain_sum_gram_error_shrinks_with_refinement():
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
+def test_generate_reuses_one_read_only_family_per_k():
+    psi = _eigenfunctions(50)
+    assert psi is _eigenfunctions(50)
+    assert not psi.flags.writeable
+    assert psi.tobytes() == multivariate_eigenfunctions(Grid.regular(50)).tobytes()
+
+
 def test_main_mean_closed_forms():
     t = np.array([0.0, 0.5, 1.0])
     m0 = main_mean("M0", t)
@@ -113,7 +121,8 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("n", 10.0), ("k", 20.0), ("seed", 3.0), ("seed", "3"), ("n", None)]
+    "field, value",
+    [("n", 10.0), ("k", 20.0), ("seed", 3.0), ("seed", "3"), ("n", None), ("n", True)],
 )
 def test_spec_rejects_non_integer_sizes_and_seed(field, value):
     with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
