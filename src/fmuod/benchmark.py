@@ -15,7 +15,6 @@ import functools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .multivariate import (
     OutlierReport,
     ThresholdTriple,
     VoteMatrix,
+    _check_count,
     collect_votes,
     detect_marginal,
     detect_projection,
@@ -64,14 +64,6 @@ SCOPES = (SCOPE_UNION, SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE)
 
 #: Default number of projection directions.
 DEFAULT_N_DIRECTIONS = 60
-
-
-def _check_count(name: str, value, message: str) -> None:
-    """Reject a count that is not an integer (``bool`` included) or is below one."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidConfig(message)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidConfig
+from .errors import InsufficientData, InvalidConfig, InvalidCurve
 from .indices import VARIANT_ORIGINAL_ABSOLUTE, IndexTable
 
 RULE_UPPER_ONLY = "upper_only"
@@ -62,11 +62,6 @@ class FlagSet:
     def union(self) -> frozenset[int]:
         return self.shape_outliers | self.amplitude_outliers | self.magnitude_outliers
 
-    @classmethod
-    def empty(cls, n: int) -> "FlagSet":
-        e = frozenset()
-        return cls(n, e, e, e)
-
 
 def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
     """Indices of entries strictly beyond the boxplot whiskers.
@@ -77,6 +72,11 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
         One-dimensional sample, at least :data:`MIN_CUTOFF_SAMPLE` entries.
     rule : str
         ``"two_sided"`` flags both tails, ``"upper_only"`` just the right one.
+
+    Raises
+    ------
+    InvalidCurve
+        If a value is NaN or infinite.
 
     Notes
     -----
@@ -96,6 +96,8 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 1:
         raise InvalidConfig("cutoff expects a one-dimensional value array")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidCurve("cutoff values contain NaN or infinite entries")
     mask = _fence_masks(vals[None], (rule,))[0]
     return frozenset(np.nonzero(mask)[0].tolist())
 
@@ -146,7 +148,14 @@ def classify_outliers(table: IndexTable) -> FlagSet:
     """Apply boxplot cutoffs to each column of an index table.
 
     The rules of each column follow the table's variant (:func:`rules_for`).
+
+    Raises
+    ------
+    InvalidCurve
+        If a column holds NaN or infinite values.
     """
     columns = np.stack([table.shape, table.amplitude, table.magnitude])
+    if not np.all(np.isfinite(columns)):
+        raise InvalidCurve("index values contain NaN or infinite entries")
     masks = _fence_masks(columns, rules_for(table.variant))
     return FlagSet(len(table), *(frozenset(np.nonzero(mask)[0].tolist()) for mask in masks))

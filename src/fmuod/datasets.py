@@ -51,11 +51,11 @@ class Grid:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def regular(cls, k: int, start: float = 0.0, stop: float = 1.0) -> "Grid":
-        """Build the k-point equidistant grid from ``start`` to ``stop``."""
+    def regular(cls, k: int) -> "Grid":
+        """Build the k-point equidistant grid on [0, 1]."""
         if k < 2:
             raise InvalidCurve("grid needs at least 2 points")
-        return cls(np.linspace(start, stop, k))
+        return cls(np.linspace(0.0, 1.0, k))
 
     @property
     def k(self) -> int:
@@ -102,9 +102,6 @@ class FunctionalDataset:
     @property
     def k(self) -> int:
         return self.values.shape[1]
-
-    def curve(self, i: int) -> np.ndarray:
-        return self.values[i]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import FunctionalDataset, Grid
+from .datasets import FunctionalDataset
 from .errors import DegenerateReference, InsufficientData, InvalidCurve
 
 #: Index table variants.  ``standard`` keeps the signed amplitude and
@@ -179,20 +179,6 @@ def _references(samples: np.ndarray, location: str) -> _ReferenceStack:
 
 
 @dataclass(frozen=True)
-class IndexTriple:
-    """Shape, amplitude and magnitude indices of one curve."""
-
-    shape: float
-    amplitude: float
-    magnitude: float
-
-    @property
-    def beta(self) -> float:
-        """Least-squares slope of the curve on the reference; ``amplitude + 1``."""
-        return self.amplitude + 1.0
-
-
-@dataclass(frozen=True)
 class IndexTable:
     """Per-curve indices for a whole sample, stored column-wise."""
 
@@ -210,15 +196,6 @@ class IndexTable:
     def __len__(self) -> int:
         return self.shape.size
 
-    def row(self, i: int) -> IndexTriple:
-        return IndexTriple(
-            float(self.shape[i]), float(self.amplitude[i]), float(self.magnitude[i])
-        )
-
-    @property
-    def rows(self) -> list[IndexTriple]:
-        return [self.row(i) for i in range(len(self))]
-
 
 def compute_index_table(
     data: FunctionalDataset,
@@ -227,8 +204,9 @@ def compute_index_table(
 ) -> IndexTable:
     """Indices of every curve in ``data`` against ``ref``.
 
-    Row ``i`` of the result equals ``compute_indices(data.values[i], ref)``
-    bit for bit: every reduction runs independently per curve.
+    Every reduction runs independently per curve, so row ``i`` equals the
+    one-row table of curve ``i`` alone bit for bit; the indices of a single
+    curve are row 0 of its one-row table.
 
     Raises
     ------
@@ -309,15 +287,3 @@ def _index_columns(
 
     columns.setflags(write=False)
     return columns
-
-
-def compute_indices(values, ref: ReferenceCurve, variant: str = VARIANT_STANDARD) -> IndexTriple:
-    """Indices of a single curve against ``ref``.
-
-    ``values`` must be one-dimensional with ``ref.k`` entries.
-    """
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1:
-        raise InvalidCurve("expected a single curve (one-dimensional array)")
-    data = FunctionalDataset(vals[None, :], Grid.regular(vals.size))
-    return compute_index_table(data, ref, variant).row(0)

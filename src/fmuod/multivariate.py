@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -206,6 +207,14 @@ class DirectionSet:
         return self.vectors.shape[1]
 
 
+def _check_count(name: str, value, message: str) -> None:
+    """Reject a count that is not an integer (``bool`` included) or is below one."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InvalidConfig(message)
+
+
 def generate_directions(n_directions: int, n_dims: int, seed: int) -> DirectionSet:
     """Draw unit directions uniformly from the cube and normalise them.
 
@@ -213,8 +222,8 @@ def generate_directions(n_directions: int, n_dims: int, seed: int) -> DirectionS
     direction ``l`` does not depend on how many directions are requested.
     Draws with norm below :data:`MIN_DIRECTION_NORM` are rejected and redrawn.
     """
-    if n_directions < 1 or n_dims < 1:
-        raise InvalidConfig("need at least one direction and one dimension")
+    _check_count("n_directions", n_directions, "need at least one direction")
+    _check_count("n_dims", n_dims, "need at least one dimension")
     vectors = np.empty((n_directions, n_dims))
     for l in range(n_directions):
         rng = child_rng(seed, l)
@@ -401,6 +410,8 @@ class VoteMatrix:
             )
         if votes.dtype != np.bool_:
             raise InvalidConfig("votes must be boolean")
+        if votes.shape[0] < 1 or votes.shape[1] < 1:
+            raise InvalidConfig("votes need at least one curve and one projection")
         votes = votes.copy()
         votes.setflags(write=False)
         object.__setattr__(self, "votes", votes)

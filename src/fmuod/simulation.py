@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -94,6 +94,8 @@ class SimulationSpec:
             raise InvalidConfig("n must be at least 1")
         if self.k < 2:
             raise InvalidConfig("k must be at least 2")
+        if isinstance(self.contamination, bool) or not isinstance(self.contamination, Real):
+            raise InvalidConfig("contamination must be a number")
         if not (0.0 <= self.contamination <= 1.0):
             raise InvalidConfig("contamination must lie in [0, 1]")
         if self.seed < 0:
@@ -113,7 +115,6 @@ class LabeledDataset:
     data: MultivariateFunctionalDataset
     outlier_indices: tuple[int, ...]
     outlier_info: dict[int, dict] = field(default_factory=dict)
-    spec: SimulationSpec | None = None
 
 
 def score_variances() -> np.ndarray:
@@ -281,4 +282,4 @@ def generate(spec: SimulationSpec) -> LabeledDataset:
     outliers = positions.tolist()
     info = {i: {key: v[a].tolist() for key, v in params.items()} for a, i in enumerate(outliers)}
     data = MultivariateFunctionalDataset(values, grid)
-    return LabeledDataset(data, tuple(outliers), info, spec)
+    return LabeledDataset(data, tuple(outliers), info)

@@ -26,7 +26,6 @@ from fmuod import (
     boxplot_cutoff,
     classify_outliers,
     compute_index_table,
-    compute_indices,
     detect_projection,
     estimate_null_baselines,
     generate,
@@ -46,6 +45,12 @@ BENCH = dict(reps=REPS, n=100, k=50, contamination=0.1, seed=SEED)
 
 def close(a, b, rel=1e-9):
     return np.isclose(a, b, rtol=rel, atol=1e-12)
+
+
+def index_rows(curves, ref):
+    """Index table of ``curves`` stacked into one sample, one row per curve."""
+    values = np.array(curves, dtype=float, ndmin=2)
+    return compute_index_table(FunctionalDataset(values, Grid.regular(values.shape[1])), ref)
 
 
 @pytest.fixture(scope="module")
@@ -132,14 +137,13 @@ def test_scale_and_shift_transform_laws():
     for _ in range(1000):
         y, ref = random_pair(rng)
         a, b = nonzero_scale(rng), rng.uniform(-5.0, 5.0)
-        base = compute_indices(y, ref)
-        moved = compute_indices(a * y + b, ref)
-        assert close(moved.magnitude, a * base.magnitude + b)
-        assert close(moved.amplitude, a * base.amplitude + a - 1.0)
+        rows = index_rows([y, a * y + b], ref)  # base, moved
+        assert close(rows.magnitude[1], a * rows.magnitude[0] + b)
+        assert close(rows.amplitude[1], a * rows.amplitude[0] + a - 1.0)
         if a > 0:
-            assert close(moved.shape, base.shape)
+            assert close(rows.shape[1], rows.shape[0])
         else:
-            assert close(moved.shape, 2.0 - base.shape)
+            assert close(rows.shape[1], 2.0 - rows.shape[0])
 
 
 def test_magnitude_is_additive():
@@ -147,9 +151,8 @@ def test_magnitude_is_additive():
     for _ in range(1000):
         y, ref = random_pair(rng)
         z = rng.standard_normal(y.size) * rng.uniform(0.5, 2.0)
-        lhs = compute_indices(y + z, ref).magnitude
-        rhs = compute_indices(y, ref).magnitude + compute_indices(z, ref).magnitude
-        assert close(lhs, rhs)
+        magnitude = index_rows([y + z, y, z], ref).magnitude
+        assert close(magnitude[0], magnitude[1] + magnitude[2])
 
 
 def test_amplitude_ignores_orthogonal_additions():
@@ -159,10 +162,8 @@ def test_amplitude_ignores_orthogonal_additions():
         mu_c = ref.centered
         z = rng.standard_normal(y.size)
         z = z - (z @ mu_c) / (mu_c @ mu_c) * mu_c
-        assert close(
-            compute_indices(y + z, ref).amplitude,
-            compute_indices(y, ref).amplitude,
-        )
+        amplitude = index_rows([y + z, y], ref).amplitude
+        assert close(amplitude[0], amplitude[1])
 
 
 def test_absolute_index_invariance_constructions():
@@ -170,17 +171,18 @@ def test_absolute_index_invariance_constructions():
     checked_amplitude = 0
     for _ in range(1000):
         y, ref = random_pair(rng)
-        base = compute_indices(y, ref)
+        base = index_rows(y, ref)
+        base_magnitude, base_amplitude = base.magnitude[0], base.amplitude[0]
         a = nonzero_scale(rng)
         for sign in (1.0, -1.0):
-            b = (-a + sign) * base.magnitude
-            moved = compute_indices(a * y + b, ref)
-            assert close(abs(moved.magnitude), abs(base.magnitude), rel=1e-8)
-        if abs(1.0 + base.amplitude) > 1e-3:
-            a_star = (1.0 - base.amplitude) / (1.0 + base.amplitude)
+            b = (-a + sign) * base_magnitude
+            moved = index_rows(a * y + b, ref)
+            assert close(abs(moved.magnitude[0]), abs(base_magnitude), rel=1e-8)
+        if abs(1.0 + base_amplitude) > 1e-3:
+            a_star = (1.0 - base_amplitude) / (1.0 + base_amplitude)
             if abs(a_star) > 1e-6:
-                moved = compute_indices(a_star * y, ref)
-                assert close(abs(moved.amplitude), abs(base.amplitude), rel=1e-8)
+                moved = index_rows(a_star * y, ref)
+                assert close(abs(moved.amplitude[0]), abs(base_amplitude), rel=1e-8)
                 checked_amplitude += 1
     assert checked_amplitude > 900
 
@@ -243,8 +245,8 @@ def test_indices_stabilize_under_grid_doubling():
     triples = []
     for k in sizes:
         y, mu = smooth_pair(k)
-        idx = compute_indices(y, ReferenceCurve.from_values(mu))
-        triples.append((idx.shape, idx.amplitude, idx.magnitude))
+        idx = index_rows(y, ReferenceCurve.from_values(mu))
+        triples.append((idx.shape[0], idx.amplitude[0], idx.magnitude[0]))
     for c in range(3):
         gaps = [abs(triples[i + 1][c] - triples[i][c]) for i in range(len(sizes) - 1)]
         assert all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1)), gaps
@@ -278,8 +280,8 @@ def test_indices_approach_population_values_with_sample_size():
         ]
     )
     lam = np.array([1.0, 0.5, 0.25, 0.125])
-    pop = compute_indices(y, ReferenceCurve.from_values(mu))
-    pop_vals = np.array([pop.shape, pop.amplitude, pop.magnitude])
+    pop = index_rows(y, ReferenceCurve.from_values(mu))
+    pop_vals = np.array([pop.shape[0], pop.amplitude[0], pop.magnitude[0]])
 
     sizes = [50, 100, 200, 500, 1000, 2000, 5000]
     medians = np.empty((len(sizes), 3))
@@ -290,9 +292,9 @@ def test_indices_approach_population_values_with_sample_size():
             xi = rng.standard_normal((n, 4)) * np.sqrt(lam)
             sample = FunctionalDataset(mu[None, :] + xi @ phi, grid)
             ref = reference_from_sample(sample, location=LOCATION_MEAN)
-            est = compute_indices(y, ref)
+            est = index_rows(y, ref)
             errs[r] = np.abs(
-                np.array([est.shape, est.amplitude, est.magnitude]) - pop_vals
+                np.array([est.shape[0], est.amplitude[0], est.magnitude[0]]) - pop_vals
             )
         medians[s] = np.median(errs, axis=0)
 

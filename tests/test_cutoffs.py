@@ -7,8 +7,10 @@ from fmuod import (
     FlagSet,
     FunctionalDataset,
     Grid,
+    IndexTable,
     InsufficientData,
     InvalidConfig,
+    InvalidCurve,
     ReferenceCurve,
     boxplot_cutoff,
     classify_outliers,
@@ -70,6 +72,18 @@ def test_boxplot_rejects_bad_config():
         boxplot_cutoff(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fences_reject_non_finite_values(bad):
+    with pytest.raises(InvalidCurve, match="NaN or infinite"):
+        boxplot_cutoff([1.0, 2.0, 3.0, bad, 5.0])
+    column = np.arange(6.0)
+    for t in range(3):
+        columns = [column.copy() for _ in range(3)]
+        columns[t][2] = bad
+        with pytest.raises(InvalidCurve, match="NaN or infinite"):
+            classify_outliers(IndexTable(*columns))
+
+
 def test_whisker_factor_widens_fences():
     # 1..9 plus one larger value: q1=3.25, q3=7.75, so the fence sits at
     # 7.75 + 1.5*4.5 = 14.5, and a value on it is not flagged
@@ -103,7 +117,6 @@ def test_cutoff_spec_for_variant():
 def test_flag_set_union_and_validation():
     flags = FlagSet(5, frozenset({0}), frozenset({1, 2}), frozenset({2, 4}))
     assert flags.union == {0, 1, 2, 4}
-    assert FlagSet.empty(3).union == frozenset()
     with pytest.raises(InvalidConfig):
         FlagSet(3, frozenset({3}), frozenset(), frozenset())
     with pytest.raises(InvalidConfig):

@@ -72,6 +72,21 @@ def test_generate_directions_validation():
         generate_directions(5, 0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "n_directions, n_dims, field",
+    [(2.5, 3, "n_directions"), (True, 3, "n_directions"), (3.0, 3, "n_directions"),
+     ("3", 3, "n_directions"), (3, 2.0, "n_dims"), (3, False, "n_dims"), (3, None, "n_dims")],
+)
+def test_generate_directions_rejects_non_integer_counts(n_directions, n_dims, field):
+    with pytest.raises(InvalidConfig, match=f"{field} must be an integer"):
+        generate_directions(n_directions, n_dims, 0)
+
+
+def test_generate_directions_accepts_numpy_integers():
+    directions = generate_directions(np.int64(4), np.int32(3), 0)
+    assert directions.vectors.tobytes() == generate_directions(4, 3, 0).vectors.tobytes()
+
+
 def test_direction_set_requires_unit_norm():
     with pytest.raises(InvalidDirection):
         DirectionSet(np.array([[1.0, 1.0]]))
@@ -250,6 +265,9 @@ def test_vote_matrix_validation():
         VoteMatrix(np.zeros((3, 4, 2), dtype=bool))
     with pytest.raises(InvalidConfig):
         VoteMatrix(np.zeros((3, 4, 3), dtype=float))
+    for empty in ((5, 0, 3), (0, 4, 3)):
+        with pytest.raises(InvalidConfig, match="at least one curve and one projection"):
+            VoteMatrix(np.zeros(empty, dtype=bool))
 
 
 def test_vote_proportions_are_exact_counts():
@@ -406,8 +424,8 @@ def test_collect_votes_equals_pipeline_with_constant_curve_in_one_dimension():
     data = MultivariateFunctionalDataset(values, Grid.regular(10))
     directions = DirectionSet(np.array([[1.0], [-1.0]]))
     votes = assert_votes_match_pipeline(data, directions)
-    constant = votes.tables[0][1].row(3)
-    assert (constant.shape, constant.amplitude) == (1.0, -1.0)
+    table = votes.tables[0][1]
+    assert (table.shape[3], table.amplitude[3]) == (1.0, -1.0)
 
 
 def test_collect_votes_errors():

@@ -134,6 +134,17 @@ def test_spec_accepts_numpy_integers():
     assert generate(spec).data.values.shape == (10, 20, N_DIMS)
 
 
+@pytest.mark.parametrize("value", ["0.1", None, True, False, [0.1]])
+def test_spec_rejects_non_numeric_contamination(value):
+    with pytest.raises(InvalidConfig, match="contamination must be a number"):
+        SimulationSpec("M1", 10, 5, value, 0)
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.25, np.float64(0.25), np.float32(0.25), np.int64(1)])
+def test_spec_accepts_real_contamination(value):
+    assert SimulationSpec("M1", 20, 5, value, 0).contamination == value
+
+
 def test_outlier_count_uses_floor():
     assert SimulationSpec("M1", n=105, contamination=0.1).n_outliers == 10
     assert SimulationSpec("M1", n=100, contamination=0.099).n_outliers == 9
