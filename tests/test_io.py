@@ -218,6 +218,20 @@ def test_long_plain_file_takes_the_bulk_path(tmp_path, monkeypatch):
     assert read_long_csv(path).values.tobytes() == data.values.tobytes()
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("trailing", [True, False], ids=["ended", "unended"])
+def test_long_line_endings_read_alike(tmp_path, newline, trailing):
+    # the bulk path takes "\n" and "\r\n" files; a bare "\r" file may go line by line
+    lines = ["curve_id,t_index,dim_1,dim_2", "0,0,1,2", "0,1,3,4", "1,0,5,6", "1,1,7,8"]
+    path = tmp_path / "long.csv"
+    path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode())
+    expected = np.arange(1.0, 9.0).reshape(2, 2, 2)
+    bulk = _long_values_bulk(path, ",")
+    if bulk is not None or newline != "\r":
+        assert bulk.tobytes() == expected.tobytes()
+    assert read_long_csv(path).values.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
