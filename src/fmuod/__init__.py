@@ -5,25 +5,19 @@ curve, producing three interpretable outlyingness indices (shape, amplitude,
 magnitude) that boxplot-style cutoffs turn into per-type outlier flags.
 Multivariate curves are handled marginally, by stringing components together,
 or by letting random one-dimensional projections vote.
+
+The package exports what a user calls or constructs; return types, constants
+and helpers are imported from their modules (``fmuod.multivariate`` and so on).
 """
 from ._version import __version__
 from .benchmark import (
-    DEFAULT_N_DIRECTIONS,
-    METHODS,
-    SCOPES,
-    BenchmarkResult,
     MethodConfig,
-    SweepPoint,
     estimate_null_baselines,
-    f1_score,
-    format_result_table,
     run_benchmark,
     run_method,
-    score_flags,
-    scoped_flags,
     threshold_sweep,
 )
-from .cutoffs import FlagSet, boxplot_cutoff, classify_outliers
+from .cutoffs import classify_outliers
 from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
 from .errors import (
     DegenerateReference,
@@ -34,84 +28,35 @@ from .errors import (
     InvalidDirection,
     ParseError,
 )
-from .indices import (
-    IndexTable,
-    ReferenceCurve,
-    center_curve,
-    compute_index_table,
-    reference_from_sample,
-)
+from .indices import compute_index_table, reference_from_sample
 from .multivariate import (
-    ANY_VOTE_SHARE,
-    ANY_VOTE_THRESHOLDS,
-    DEFAULT_ETA,
-    DEFAULT_GAMMA,
-    DEFAULT_VOTE_SHARES,
-    REFERENCE_BASELINES,
-    TYPE_ORDER,
     Baselines,
-    DirectionSet,
-    OutlierReport,
-    ThresholdSelection,
     ThresholdTriple,
-    VoteMatrix,
     collect_votes,
     detect_marginal,
     detect_projection,
     detect_stringed,
     generate_directions,
-    project,
     select_thresholds,
-    string_dimensions,
 )
-from .simulation import (
-    MODEL_IDS,
-    LabeledDataset,
-    SimulationSpec,
-    generate,
-    multivariate_eigenfunctions,
-    score_variances,
-)
+from .simulation import SimulationSpec, generate
 
 __all__ = [
     "__version__",
-    "ANY_VOTE_SHARE",
-    "ANY_VOTE_THRESHOLDS",
     "Baselines",
-    "BenchmarkResult",
-    "DEFAULT_ETA",
-    "DEFAULT_GAMMA",
-    "DEFAULT_N_DIRECTIONS",
-    "DEFAULT_VOTE_SHARES",
     "DegenerateReference",
-    "DirectionSet",
-    "FlagSet",
     "FmuodError",
     "FunctionalDataset",
     "Grid",
-    "IndexTable",
     "InsufficientData",
     "InvalidConfig",
     "InvalidCurve",
     "InvalidDirection",
-    "LabeledDataset",
-    "METHODS",
-    "MODEL_IDS",
     "MethodConfig",
     "MultivariateFunctionalDataset",
-    "OutlierReport",
     "ParseError",
-    "REFERENCE_BASELINES",
-    "ReferenceCurve",
-    "SCOPES",
     "SimulationSpec",
-    "SweepPoint",
-    "TYPE_ORDER",
-    "ThresholdSelection",
     "ThresholdTriple",
-    "VoteMatrix",
-    "boxplot_cutoff",
-    "center_curve",
     "classify_outliers",
     "collect_votes",
     "compute_index_table",
@@ -119,19 +64,11 @@ __all__ = [
     "detect_projection",
     "detect_stringed",
     "estimate_null_baselines",
-    "f1_score",
-    "format_result_table",
     "generate",
     "generate_directions",
-    "multivariate_eigenfunctions",
-    "project",
     "reference_from_sample",
     "run_benchmark",
     "run_method",
-    "score_flags",
-    "score_variances",
-    "scoped_flags",
     "select_thresholds",
-    "string_dimensions",
     "threshold_sweep",
 ]

@@ -85,12 +85,19 @@ class MethodConfig:
         if self.report_scope not in SCOPES:
             raise InvalidConfig(f"unknown scope {self.report_scope!r}; use one of {SCOPES}")
         _check_count("n_directions", self.n_directions, "n_directions must be at least 1")
+        _check_instance("vote_shares", self.vote_shares, ThresholdTriple)
+        _check_instance("baselines", self.baselines, Baselines)
         if self.scale not in SCALES:
             raise InvalidConfig(f"unknown scale {self.scale!r}; use one of {SCALES}")
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"unknown variant {self.variant!r}; use one of {VARIANTS}")
         if self.location not in LOCATIONS:
             raise InvalidConfig(f"unknown location {self.location!r}; use one of {LOCATIONS}")
+
+
+def _check_instance(name: str, value, cls: type) -> None:
+    if not isinstance(value, cls):
+        raise InvalidConfig(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def run_method(
@@ -358,6 +365,8 @@ def threshold_sweep(
     shares_grid = list(shares_grid)
     if not shares_grid:
         raise InvalidConfig("sweep needs at least one vote-share triple")
+    for s, shares in enumerate(shares_grid):
+        _check_instance(f"shares_grid[{s}]", shares, ThresholdTriple)
     _check_count("reps", reps, "sweep needs at least one repetition")
     _check_count("n_directions", n_directions, "n_directions must be at least 1")
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0

@@ -7,6 +7,7 @@ simulation (where curves are evaluated from closed forms) and for plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -14,12 +15,6 @@ from .errors import InvalidCurve
 
 #: Maximum absolute deviation between grid steps before a grid is rejected.
 SPACING_TOL = 1e-12
-
-
-def _freeze(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,8 @@ class Grid:
     @classmethod
     def regular(cls, k: int) -> "Grid":
         """Build the k-point equidistant grid on [0, 1]."""
+        if isinstance(k, bool) or not isinstance(k, Integral):
+            raise InvalidCurve(f"grid size must be an integer, got {k!r}")
         if k < 2:
             raise InvalidCurve("grid needs at least 2 points")
         return cls(np.linspace(0.0, 1.0, k))

@@ -26,9 +26,10 @@ or ``gamma_T`` when ``delta_C <= 0`` or the ratio is negative.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -70,6 +71,11 @@ SCALES = (SCALE_MINMAX, SCALE_NONE)
 # thresholds and baselines
 
 
+def _is_real(value) -> bool:
+    """True for a real number other than ``bool``."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Baselines:
     """Expected false-vote shares of the cutoffs on outlier-free data.
@@ -86,7 +92,9 @@ class Baselines:
 
     def __post_init__(self):
         for value in (self.shape, self.amplitude, self.magnitude, self.union):
-            if not (np.isfinite(value) and 0.0 <= value < 1.0):
+            if not _is_real(value):
+                raise InvalidConfig(f"baseline rates must be numbers, got {value!r}")
+            if not (math.isfinite(value) and 0.0 <= value < 1.0):
                 raise InvalidConfig("baseline rates must lie in [0, 1)")
 
     def by_type(self) -> tuple[float, float, float]:
@@ -132,7 +140,9 @@ class ThresholdTriple:
 
     def __post_init__(self):
         for value in self.by_type():
-            if not (np.isfinite(value) and 0.0 < value <= 1.0):
+            if not _is_real(value):
+                raise InvalidConfig(f"vote-share thresholds must be numbers, got {value!r}")
+            if not (math.isfinite(value) and 0.0 < value <= 1.0):
                 raise InvalidConfig("vote-share thresholds must lie in (0, 1]")
 
     def by_type(self) -> tuple[float, float, float]:

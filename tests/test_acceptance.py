@@ -14,16 +14,12 @@ import numpy as np
 import pytest
 
 from fmuod import (
-    ANY_VOTE_THRESHOLDS,
-    REFERENCE_BASELINES,
     FunctionalDataset,
     Grid,
     MethodConfig,
     MultivariateFunctionalDataset,
     SimulationSpec,
     ThresholdTriple,
-    VoteMatrix,
-    boxplot_cutoff,
     classify_outliers,
     compute_index_table,
     detect_projection,
@@ -34,8 +30,9 @@ from fmuod import (
     run_benchmark,
 )
 from fmuod.cli import main
-from fmuod.cutoffs import RULE_TWO_SIDED, RULE_UPPER_ONLY
+from fmuod.cutoffs import RULE_TWO_SIDED, RULE_UPPER_ONLY, boxplot_cutoff
 from fmuod.indices import LOCATION_MEAN, ReferenceCurve
+from fmuod.multivariate import ANY_VOTE_THRESHOLDS, REFERENCE_BASELINES, VoteMatrix
 from fmuod.simulation import main_mean, multivariate_eigenfunctions, score_variances
 
 SEED = 20250816

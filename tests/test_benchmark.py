@@ -5,16 +5,11 @@ import pytest
 
 import fmuod.benchmark
 from fmuod import (
-    ANY_VOTE_THRESHOLDS,
     InvalidConfig,
     MethodConfig,
     ThresholdTriple,
-    f1_score,
-    format_result_table,
     run_benchmark,
     run_method,
-    score_flags,
-    scoped_flags,
     threshold_sweep,
 )
 from fmuod.benchmark import (
@@ -26,8 +21,12 @@ from fmuod.benchmark import (
     SCOPE_UNION,
     _rep_votes,
     estimate_null_baselines,
+    f1_score,
+    format_result_table,
+    score_flags,
+    scoped_flags,
 )
-from fmuod.multivariate import Baselines, OutlierReport
+from fmuod.multivariate import ANY_VOTE_THRESHOLDS, Baselines, OutlierReport
 from fmuod.cutoffs import FlagSet
 from fmuod.simulation import SimulationSpec, generate
 
@@ -96,6 +95,10 @@ def test_method_config_validation():
         MethodConfig(method="FST_MAR", variant="bogus")
     with pytest.raises(InvalidConfig):
         MethodConfig(method="FST_MAR", location="bogus")
+    with pytest.raises(InvalidConfig, match="vote_shares must be a ThresholdTriple"):
+        MethodConfig("FST_PRJ1", vote_shares=(0.4, 0.3, 0.3))
+    with pytest.raises(InvalidConfig, match="baselines must be a Baselines"):
+        MethodConfig("FST_PRJ", baselines={"shape": 0.1})
 
 
 @pytest.mark.parametrize("value", [2.5, True, "3", None])
@@ -402,6 +405,10 @@ def test_threshold_sweep_validation():
         threshold_sweep("M1", [], reps=2)
     with pytest.raises(InvalidConfig):
         threshold_sweep("M1", [ThresholdTriple(0.4, 0.3, 0.3)], reps=0)
+    with pytest.raises(InvalidConfig, match=r"shares_grid\[0\] must be a ThresholdTriple"):
+        threshold_sweep("M1", [(0.4, 0.3, 0.3)], 1)
+    with pytest.raises(InvalidConfig, match=r"shares_grid\[1\] must be a ThresholdTriple"):
+        threshold_sweep("M1", [ThresholdTriple(0.4, 0.3, 0.3), 0.3], 1)
 
 
 def test_estimate_null_baselines_deterministic():

@@ -4,15 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmuod import (
-    FlagSet,
     FunctionalDataset,
     Grid,
-    IndexTable,
     InsufficientData,
     InvalidConfig,
     InvalidCurve,
-    ReferenceCurve,
-    boxplot_cutoff,
     classify_outliers,
     compute_index_table,
 )
@@ -20,11 +16,13 @@ from fmuod.cutoffs import (
     RULE_TWO_SIDED,
     RULE_UPPER_ONLY,
     WHISKER_FACTOR,
+    FlagSet,
     _fence_masks,
     _quartiles,
+    boxplot_cutoff,
     rules_for,
 )
-from fmuod.indices import VARIANT_ORIGINAL_ABSOLUTE, VARIANT_STANDARD
+from fmuod.indices import VARIANT_ORIGINAL_ABSOLUTE, VARIANT_STANDARD, IndexTable, ReferenceCurve
 
 
 def test_boxplot_flags_single_spike():

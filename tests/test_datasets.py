@@ -29,6 +29,16 @@ def test_grid_rejects_too_short():
         Grid.regular(1)
 
 
+@pytest.mark.parametrize("k", [2.5, 4.0, "3", None, True])
+def test_regular_grid_rejects_non_integer_sizes(k):
+    with pytest.raises(InvalidCurve, match="grid size must be an integer"):
+        Grid.regular(k)
+
+
+def test_regular_grid_accepts_numpy_integers():
+    np.testing.assert_array_equal(Grid.regular(np.int64(4)).points, Grid.regular(4).points)
+
+
 def test_grid_rejects_non_increasing():
     with pytest.raises(InvalidCurve):
         Grid(np.array([0.0, 0.5, 0.4]))

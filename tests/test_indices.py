@@ -10,8 +10,6 @@ from fmuod import (
     Grid,
     InsufficientData,
     InvalidCurve,
-    ReferenceCurve,
-    center_curve,
     compute_index_table,
     reference_from_sample,
 )
@@ -20,9 +18,11 @@ from fmuod.indices import (
     LOCATION_MEDIAN,
     VARIANT_ORIGINAL_ABSOLUTE,
     VARIANT_STANDARD,
+    ReferenceCurve,
     _center_references,
     _constant_rows,
     _references,
+    center_curve,
 )
 
 

@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmuod import (
-    ANY_VOTE_THRESHOLDS,
     Baselines,
     DegenerateReference,
-    DirectionSet,
     FunctionalDataset,
     Grid,
     InsufficientData,
@@ -16,7 +14,6 @@ from fmuod import (
     InvalidDirection,
     MultivariateFunctionalDataset,
     ThresholdTriple,
-    VoteMatrix,
     classify_outliers,
     collect_votes,
     compute_index_table,
@@ -24,14 +21,23 @@ from fmuod import (
     detect_projection,
     detect_stringed,
     generate_directions,
-    project,
     reference_from_sample,
     select_thresholds,
-    string_dimensions,
 )
 import fmuod.multivariate
 from fmuod.indices import LOCATIONS, VARIANTS
-from fmuod.multivariate import DEFAULT_ETA, DEFAULT_GAMMA, SCALE_MINMAX, SCALE_NONE, TYPE_ORDER
+from fmuod.multivariate import (
+    ANY_VOTE_THRESHOLDS,
+    DEFAULT_ETA,
+    DEFAULT_GAMMA,
+    SCALE_MINMAX,
+    SCALE_NONE,
+    TYPE_ORDER,
+    DirectionSet,
+    VoteMatrix,
+    project,
+    string_dimensions,
+)
 
 
 def random_mv(seed, n=30, k=20, d=3):
@@ -664,6 +670,10 @@ def test_baselines_validation_and_round_trip():
         Baselines(1.0, 0.0, 0.0, 0.0)
     with pytest.raises(InvalidConfig):
         Baselines(-0.1, 0.0, 0.0, 0.0)
+    for bad in ("a", None, False):
+        with pytest.raises(InvalidConfig, match="baseline rates must be numbers"):
+            Baselines(0.1, bad, 0.1, 0.1)
+    assert Baselines(np.float32(0.5), 0, 0.0, 0.0).union == 0.0
     rates = Baselines(0.1, 0.02, 0.03, 0.12)
     assert Baselines.from_dict(rates.as_dict()) == rates
     with pytest.raises(InvalidConfig):
@@ -675,6 +685,9 @@ def test_threshold_triple_validation():
         ThresholdTriple(0.0, 0.5, 0.5)
     with pytest.raises(InvalidConfig):
         ThresholdTriple(0.5, 1.5, 0.5)
+    for bad in ("a", None, True):
+        with pytest.raises(InvalidConfig, match="vote-share thresholds must be numbers"):
+            ThresholdTriple(bad, 0.3, 0.3)
     assert ThresholdTriple(1.0, 1.0, 1.0).by_type() == (1.0, 1.0, 1.0)
 
 

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from fmuod import (
-    Grid,
-    InvalidConfig,
-    SimulationSpec,
-    generate,
-    multivariate_eigenfunctions,
-    score_variances,
-)
+from fmuod import Grid, InvalidConfig, SimulationSpec, generate
 from fmuod.simulation import (
     MODEL_IDS,
     N_COMPONENTS,
@@ -16,6 +9,8 @@ from fmuod.simulation import (
     VARIANT_DIMS,
     _eigenfunctions,
     main_mean,
+    multivariate_eigenfunctions,
+    score_variances,
 )
 
 
