@@ -18,21 +18,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cutoffs import FlagSet
 from .datasets import MultivariateFunctionalDataset
 from .errors import InvalidConfig
-from .indices import LOCATION_MEDIAN, LOCATIONS, VARIANT_STANDARD, VARIANTS
+from .indices import LOCATION_MEDIAN, LOCATIONS, TYPE_ORDER, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
     ANY_VOTE_THRESHOLDS,
     DEFAULT_VOTE_SHARES,
     REFERENCE_BASELINES,
     SCALE_NONE,
     SCALES,
-    TYPE_ORDER,
     Baselines,
     OutlierReport,
     ThresholdTriple,
     VoteMatrix,
     _check_count,
+    _check_instance,
     collect_votes,
     detect_marginal,
     detect_projection,
@@ -57,9 +58,7 @@ METHODS = (
 )
 
 SCOPE_UNION = "union"
-SCOPE_SHAPE = "shape_only"
-SCOPE_AMPLITUDE = "amplitude_only"
-SCOPE_MAGNITUDE = "magnitude_only"
+SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE = (f"{name}_only" for name in TYPE_ORDER)
 SCOPES = (SCOPE_UNION, SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE)
 
 #: Default number of projection directions.
@@ -95,11 +94,6 @@ class MethodConfig:
             raise InvalidConfig(f"unknown location {self.location!r}; use one of {LOCATIONS}")
 
 
-def _check_instance(name: str, value, cls: type) -> None:
-    if not isinstance(value, cls):
-        raise InvalidConfig(f"{name} must be a {cls.__name__}, got {value!r}")
-
-
 def run_method(
     data: MultivariateFunctionalDataset, config: MethodConfig, seed: int
 ) -> OutlierReport:
@@ -131,17 +125,12 @@ def _threshold_selector(config: MethodConfig) -> Callable[[VoteMatrix], Threshol
     return lambda votes: fixed
 
 
-def scoped_flags(report: OutlierReport, scope: str) -> frozenset[int]:
+def scoped_flags(flags: FlagSet, scope: str) -> frozenset[int]:
     """The flag set a benchmark scores under the given reporting scope."""
-    if scope == SCOPE_UNION:
-        return report.flags.union
-    if scope == SCOPE_SHAPE:
-        return report.flags.shape_outliers
-    if scope == SCOPE_AMPLITUDE:
-        return report.flags.amplitude_outliers
-    if scope == SCOPE_MAGNITUDE:
-        return report.flags.magnitude_outliers
-    raise InvalidConfig(f"unknown scope {scope!r}; use one of {SCOPES}")
+    if scope not in SCOPES:
+        raise InvalidConfig(f"unknown scope {scope!r}; use one of {SCOPES}")
+    # The per-type scopes follow TYPE_ORDER after the union.
+    return flags.union if scope == SCOPE_UNION else flags.by_type()[SCOPES.index(scope) - 1]
 
 
 def score_flags(
@@ -279,8 +268,8 @@ def run_benchmark(
     _check_count("reps", reps, "benchmark needs at least one repetition")
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
 
-    def score(report: OutlierReport, truth: tuple[int, ...]) -> tuple[float, float]:
-        return score_flags(scoped_flags(report, config.report_scope), truth, n)
+    def score(flags: FlagSet, truth: tuple[int, ...]) -> tuple[float, float]:
+        return score_flags(scoped_flags(flags, config.report_scope), truth, n)
 
     started = time.monotonic()
     if config.method in (METHOD_MARGINAL, METHOD_STRINGING):
@@ -289,7 +278,7 @@ def run_benchmark(
             data_seed, method_seed = _rep_seeds(seed, r)
             labeled = generate(SimulationSpec(model, n, k, contamination, data_seed))
             report = run_method(labeled.data, config, method_seed)
-            pairs.append(score(report, labeled.outlier_indices))
+            pairs.append(score(report.flags, labeled.outlier_indices))
     else:
         shared = _rep_votes(
             model, n, k, contamination, seed, reps,
@@ -299,7 +288,7 @@ def run_benchmark(
         started = time.monotonic() - shared.seconds
         choose = _threshold_selector(config)
         pairs = [
-            score(OutlierReport(config.method, n, votes.flags_at(choose(votes))), truth)
+            score(votes.flags_at(choose(votes)), truth)
             for truth, votes in zip(shared.truths, shared.votes)
         ]
     tpr = np.array([p[0] for p in pairs])
@@ -378,7 +367,7 @@ def threshold_sweep(
     for r, (truth, votes) in enumerate(zip(shared.truths, shared.votes)):
         truth_set = frozenset(truth)
         for s, shares in enumerate(shares_grid):
-            flagged = scoped_flags(OutlierReport("sweep", n, votes.flags_at(shares)), report_scope)
+            flagged = scoped_flags(votes.flags_at(shares), report_scope)
             f1[r, s] = f1_score(flagged, truth_set)
             fpr[r, s] = score_flags(flagged, truth, n)[1]
     return [
@@ -410,13 +399,7 @@ def estimate_null_baselines(
     for votes in shared.votes:
         type_sums += np.asarray(votes.type_shares())
         union_sum += votes.union_share()
-    type_means = type_sums / reps
-    return Baselines(
-        shape=float(type_means[0]),
-        amplitude=float(type_means[1]),
-        magnitude=float(type_means[2]),
-        union=union_sum / reps,
-    )
+    return Baselines(*(float(mean) for mean in type_sums / reps), union_sum / reps)
 
 
 def format_result_table(results) -> str:

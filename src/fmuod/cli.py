@@ -35,7 +35,7 @@ from .errors import (
     InvalidDirection,
     ParseError,
 )
-from .indices import LOCATIONS, VARIANT_STANDARD, VARIANTS
+from .indices import LOCATIONS, TYPE_ORDER, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
     DEFAULT_VOTE_SHARES,
     REFERENCE_BASELINES,
@@ -146,11 +146,8 @@ def cmd_detect(args) -> int:
     if args.emit_indices:
         fio.write_index_tables_csv(report.tables, out / "indices.csv")
     flags = report.flags
-    print(
-        f"{args.method}: flagged {len(flags.union)} of {report.n} curves "
-        f"(shape {len(flags.shape_outliers)}, amplitude {len(flags.amplitude_outliers)}, "
-        f"magnitude {len(flags.magnitude_outliers)})"
-    )
+    counts = ", ".join(f"{name} {len(f)}" for name, f in zip(TYPE_ORDER, flags.by_type()))
+    print(f"{args.method}: flagged {len(flags.union)} of {report.n} curves ({counts})")
     if report.degenerate_projections:
         print(
             f"warning: {report.degenerate_projections} degenerate projections contributed no votes",
@@ -224,8 +221,7 @@ def cmd_sweep(args) -> int:
     header = f"{'shares':>18}  {'f1':>12}  {'fpr':>12}"
     print(header)
     for point in points:
-        s = point.shares
-        label = f"{s.shape:g}:{s.amplitude:g}:{s.magnitude:g}"
+        label = ":".join(f"{share:g}" for share in point.shares.by_type())
         f1 = "-" if point.f1 is None else f"{point.f1_mean:.3f} ({point.f1_sd:.3f})"
         print(f"{label:>18}  {f1:>12}  {point.fpr_mean:5.1f} ({point.fpr_sd:.1f})")
     print(f"wrote {out / 'sweep.csv'}")
@@ -238,11 +234,8 @@ def cmd_baselines(args) -> int:
     )
     out = _out_dir(args.out)
     fio.write_baselines(rates, out / "baselines.json")
-    print(
-        f"baselines over {args.reps} repetitions: "
-        f"shape {rates.shape:.4f}, amplitude {rates.amplitude:.4f}, "
-        f"magnitude {rates.magnitude:.4f}, union {rates.union:.4f}"
-    )
+    listed = ", ".join(f"{name} {rate:.4f}" for name, rate in rates.as_dict().items())
+    print(f"baselines over {args.reps} repetitions: {listed}")
     print(f"wrote {out / 'baselines.json'}")
     return 0
 

@@ -16,6 +16,7 @@ the sign of a zero quartile may differ, which no fence comparison can see.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -54,13 +55,24 @@ class FlagSet:
     magnitude_outliers: frozenset[int]
 
     def __post_init__(self):
-        for flagged in (self.shape_outliers, self.amplitude_outliers, self.magnitude_outliers):
+        for flagged in self.by_type():
+            if any(isinstance(i, bool) or not isinstance(i, Integral) for i in flagged):
+                raise InvalidConfig("flagged indices must be integers")
             if flagged and (min(flagged) < 0 or max(flagged) >= self.n):
                 raise InvalidConfig("flagged indices out of range")
 
+    @classmethod
+    def from_masks(cls, masks: np.ndarray) -> "FlagSet":
+        """Flag sets from a ``(3, n)`` boolean mask whose rows follow ``TYPE_ORDER``."""
+        return cls(masks.shape[1], *(frozenset(np.flatnonzero(m).tolist()) for m in masks))
+
+    def by_type(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+        """The flag sets in :data:`~fmuod.indices.TYPE_ORDER`."""
+        return (self.shape_outliers, self.amplitude_outliers, self.magnitude_outliers)
+
     @property
     def union(self) -> frozenset[int]:
-        return self.shape_outliers | self.amplitude_outliers | self.magnitude_outliers
+        return frozenset().union(*self.by_type())
 
 
 def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
@@ -154,8 +166,7 @@ def classify_outliers(table: IndexTable) -> FlagSet:
     InvalidCurve
         If a column holds NaN or infinite values.
     """
-    columns = np.stack([table.shape, table.amplitude, table.magnitude])
+    columns = np.stack(table.by_type())
     if not np.all(np.isfinite(columns)):
         raise InvalidCurve("index values contain NaN or infinite entries")
-    masks = _fence_masks(columns, rules_for(table.variant))
-    return FlagSet(len(table), *(frozenset(np.nonzero(mask)[0].tolist()) for mask in masks))
+    return FlagSet.from_masks(_fence_masks(columns, rules_for(table.variant)))

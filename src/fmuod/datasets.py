@@ -45,6 +45,11 @@ class Grid:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(np.array_equal(self.points, other.points))
+
     @classmethod
     def regular(cls, k: int) -> "Grid":
         """Build the k-point equidistant grid on [0, 1]."""

@@ -47,6 +47,11 @@ LOCATION_MEDIAN = "median"
 LOCATION_MEAN = "mean"
 LOCATIONS = (LOCATION_MEDIAN, LOCATION_MEAN)
 
+#: Order of the three index types in every per-type result: the columns of an
+#: :class:`IndexTable`, the type axis of vote matrices and vote proportions,
+#: and the ``by_type()`` tuples of flags, thresholds and baselines.
+TYPE_ORDER = ("shape", "amplitude", "magnitude")
+
 
 def center_curve(values) -> np.ndarray:
     """Subtract the grid mean of ``values`` from every entry."""
@@ -188,13 +193,17 @@ class IndexTable:
     variant: str = VARIANT_STANDARD
 
     def __post_init__(self):
-        for arr in (self.shape, self.amplitude, self.magnitude):
+        for arr in self.by_type():
             if arr.shape != self.shape.shape or arr.ndim != 1:
                 raise InvalidCurve("index columns must be one-dimensional and equally long")
         _check_variant(self.variant)
 
     def __len__(self) -> int:
         return self.shape.size
+
+    def by_type(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The index columns in :data:`TYPE_ORDER`."""
+        return (self.shape, self.amplitude, self.magnitude)
 
 
 def compute_index_table(
@@ -221,8 +230,7 @@ def compute_index_table(
 
     means = ref.values[None].mean(axis=1)
     columns = _index_columns(data.values[None], ref.centered[None], means, variant)
-    shape, amplitude, magnitude = columns[:, 0]
-    return IndexTable(shape, amplitude, magnitude, variant)
+    return IndexTable(*columns[:, 0], variant=variant)
 
 
 def _index_columns(

@@ -17,7 +17,8 @@ import numpy as np
 from ._version import __version__
 from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
 from .errors import InvalidConfig, ParseError
-from .multivariate import TYPE_ORDER, Baselines, OutlierReport
+from .indices import TYPE_ORDER
+from .multivariate import Baselines, OutlierReport
 from .simulation import LabeledDataset
 
 LAYOUT_WIDE = "wide_univariate"
@@ -321,9 +322,7 @@ def report_payload(report: OutlierReport, extra_config: dict | None = None) -> d
         "method": report.method,
         "n_curves": report.n,
         "flags": {
-            "shape": sorted(flags.shape_outliers),
-            "amplitude": sorted(flags.amplitude_outliers),
-            "magnitude": sorted(flags.magnitude_outliers),
+            **{name: sorted(flagged) for name, flagged in zip(TYPE_ORDER, flags.by_type())},
             "union": sorted(flags.union),
         },
         "degenerate_projections": report.degenerate_projections,
@@ -332,11 +331,7 @@ def report_payload(report: OutlierReport, extra_config: dict | None = None) -> d
     if extra_config:
         payload["config"].update(extra_config)
     if report.thresholds is not None:
-        thresholds = {
-            "shape": report.thresholds.shape,
-            "amplitude": report.thresholds.amplitude,
-            "magnitude": report.thresholds.magnitude,
-        }
+        thresholds = dict(zip(TYPE_ORDER, report.thresholds.by_type()))
         selection = report.thresholds.selection
         if selection is not None:
             thresholds["selection"] = {
@@ -368,18 +363,14 @@ def write_report_json(report: OutlierReport, path, extra_config: dict | None = N
 
 def write_flags_csv(report: OutlierReport, path) -> None:
     """Tidy per-curve table: one row per curve and index type, plot-ready."""
-    per_type = {
-        "shape": report.flags.shape_outliers,
-        "amplitude": report.flags.amplitude_outliers,
-        "magnitude": report.flags.magnitude_outliers,
-    }
+    per_type = report.flags.by_type()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["curve_id", "type", "vote_share", "flagged"])
         for i in range(report.n):
             for t, name in enumerate(TYPE_ORDER):
                 share = "" if report.proportions is None else format_float(report.proportions[i, t])
-                writer.writerow([str(i), name, share, str(int(i in per_type[name]))])
+                writer.writerow([str(i), name, share, str(int(i in per_type[t]))])
 
 
 def write_index_tables_csv(tables, path) -> None:
@@ -389,9 +380,9 @@ def write_index_tables_csv(tables, path) -> None:
     ``str(label)``, unquoted.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("component,curve_id,shape,amplitude,magnitude\r\n")
+        fh.write(",".join(("component", "curve_id", *TYPE_ORDER)) + "\r\n")
         for label, table in tables:
-            columns = zip(table.shape.tolist(), table.amplitude.tolist(), table.magnitude.tolist())
+            columns = zip(*(column.tolist() for column in table.by_type()))
             fh.writelines(
                 f"{label},{i},{s!r},{a!r},{m!r}\r\n" for i, (s, a, m) in enumerate(columns)
             )
@@ -461,22 +452,12 @@ def write_sweep_csv(points, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            [
-                "share_shape",
-                "share_amplitude",
-                "share_magnitude",
-                "f1_mean",
-                "f1_sd",
-                "fpr_mean",
-                "fpr_sd",
-            ]
+            [f"share_{name}" for name in TYPE_ORDER] + ["f1_mean", "f1_sd", "fpr_mean", "fpr_sd"]
         )
         for point in points:
             writer.writerow(
-                [
-                    format_float(point.shares.shape),
-                    format_float(point.shares.amplitude),
-                    format_float(point.shares.magnitude),
+                [format_float(share) for share in point.shares.by_type()]
+                + [
                     "" if point.f1 is None else format_float(point.f1_mean),
                     "" if point.f1 is None else format_float(point.f1_sd),
                     format_float(point.fpr_mean),

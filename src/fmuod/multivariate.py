@@ -38,6 +38,7 @@ from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
 from .errors import DegenerateReference, InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
     LOCATION_MEDIAN,
+    TYPE_ORDER,
     VARIANT_STANDARD,
     IndexTable,
     _check_variant,
@@ -46,10 +47,6 @@ from .indices import (
     _ReferenceStack,
 )
 from .seeding import child_rng
-
-#: Order of the index types along the last axis of vote matrices and
-#: proportion arrays.
-TYPE_ORDER = ("shape", "amplitude", "magnitude")
 
 #: Directions with squared norm below this are rejected and redrawn.
 MIN_DIRECTION_NORM = 1e-8
@@ -98,25 +95,16 @@ class Baselines:
                 raise InvalidConfig("baseline rates must lie in [0, 1)")
 
     def by_type(self) -> tuple[float, float, float]:
+        """The per-type rates in :data:`~fmuod.indices.TYPE_ORDER`."""
         return (self.shape, self.amplitude, self.magnitude)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "shape": self.shape,
-            "amplitude": self.amplitude,
-            "magnitude": self.magnitude,
-            "union": self.union,
-        }
+        return {**dict(zip(TYPE_ORDER, self.by_type())), "union": self.union}
 
     @classmethod
     def from_dict(cls, mapping) -> "Baselines":
         try:
-            return cls(
-                float(mapping["shape"]),
-                float(mapping["amplitude"]),
-                float(mapping["magnitude"]),
-                float(mapping["union"]),
-            )
+            return cls(*(float(mapping[name]) for name in (*TYPE_ORDER, "union")))
         except KeyError as exc:
             raise InvalidConfig(f"baselines are missing the {exc.args[0]!r} rate") from exc
         except (TypeError, ValueError) as exc:
@@ -146,6 +134,7 @@ class ThresholdTriple:
                 raise InvalidConfig("vote-share thresholds must lie in (0, 1]")
 
     def by_type(self) -> tuple[float, float, float]:
+        """The thresholds in :data:`~fmuod.indices.TYPE_ORDER`."""
         return (self.shape, self.amplitude, self.magnitude)
 
 
@@ -208,6 +197,11 @@ class DirectionSet:
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(self.seed == other.seed and np.array_equal(self.vectors, other.vectors))
+
     @property
     def n_directions(self) -> int:
         return self.vectors.shape[0]
@@ -223,6 +217,11 @@ def _check_count(name: str, value, message: str) -> None:
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise InvalidConfig(message)
+
+
+def _check_instance(name: str, value, cls: type) -> None:
+    if not isinstance(value, cls):
+        raise InvalidConfig(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 def generate_directions(n_directions: int, n_dims: int, seed: int) -> DirectionSet:
@@ -316,9 +315,8 @@ def _classify_stack(samples: np.ndarray, variant: str, location: str):
     if np.any(refs.degenerate):
         raise DegenerateReference("reference curve is constant")
     columns, masks = _stack_kernel(samples, refs, variant)
-    flags = (frozenset(np.flatnonzero(m).tolist()) for m in masks.any(axis=1))
     tables = [IndexTable(*columns[:, j], variant=variant) for j in range(samples.shape[0])]
-    return tables, FlagSet(samples.shape[1], *flags)
+    return tables, FlagSet.from_masks(masks.any(axis=1))
 
 
 def detect_marginal(
@@ -452,13 +450,7 @@ class VoteMatrix:
 
     def flags_at(self, thresholds: ThresholdTriple) -> FlagSet:
         """Curves whose vote share reaches the threshold of each type."""
-        props = self.proportions
-        taus = thresholds.by_type()
-        sets = [
-            frozenset(np.nonzero(props[:, t] >= taus[t])[0].tolist())
-            for t in range(len(TYPE_ORDER))
-        ]
-        return FlagSet(self.n, sets[0], sets[1], sets[2])
+        return FlagSet.from_masks((self.proportions >= thresholds.by_type()).T)
 
 
 def collect_votes(
@@ -519,6 +511,7 @@ def select_thresholds(
     :data:`DEFAULT_GAMMA` and :data:`DEFAULT_ETA`; the returned selection
     records them.
     """
+    _check_instance("baselines", baselines, Baselines)
     gamma, eta = DEFAULT_GAMMA, DEFAULT_ETA
     delta_types = tuple(
         share - base for share, base in zip(votes.type_shares(), baselines.by_type())
@@ -552,7 +545,7 @@ def select_thresholds(
         ratios=tuple(ratios),
         branches=tuple(branches),
     )
-    return ThresholdTriple(taus[0], taus[1], taus[2], selection=selection)
+    return ThresholdTriple(*taus, selection=selection)
 
 
 def detect_projection(
@@ -569,8 +562,11 @@ def detect_projection(
     the :class:`VoteMatrix` to one, such as a :func:`functools.partial` of
     :func:`select_thresholds`.
     """
+    if not callable(thresholds):
+        _check_instance("thresholds", thresholds, ThresholdTriple)
     votes = collect_votes(data, directions, variant, location)
     chosen = thresholds(votes) if callable(thresholds) else thresholds
+    _check_instance("thresholds(votes)", chosen, ThresholdTriple)
     return OutlierReport(
         method,
         data.n,

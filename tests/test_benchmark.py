@@ -17,7 +17,9 @@ from fmuod.benchmark import (
     METHOD_PROJECTION_ANY,
     METHOD_PROJECTION_FIXED,
     METHODS,
+    SCOPE_AMPLITUDE,
     SCOPE_MAGNITUDE,
+    SCOPE_SHAPE,
     SCOPE_UNION,
     _rep_votes,
     estimate_null_baselines,
@@ -26,7 +28,7 @@ from fmuod.benchmark import (
     score_flags,
     scoped_flags,
 )
-from fmuod.multivariate import ANY_VOTE_THRESHOLDS, Baselines, OutlierReport
+from fmuod.multivariate import ANY_VOTE_THRESHOLDS, Baselines
 from fmuod.cutoffs import FlagSet
 from fmuod.simulation import SimulationSpec, generate
 
@@ -71,11 +73,13 @@ def test_f1_score_edges():
 
 
 def test_scoped_flags_selects_the_right_set():
-    report = OutlierReport("x", 10, flags(10, shape={1}, amplitude={2}, magnitude={3}))
-    assert scoped_flags(report, SCOPE_UNION) == {1, 2, 3}
-    assert scoped_flags(report, SCOPE_MAGNITUDE) == {3}
+    flagged = flags(10, shape={1}, amplitude={2}, magnitude={3})
+    assert scoped_flags(flagged, SCOPE_UNION) == {1, 2, 3}
+    assert scoped_flags(flagged, SCOPE_MAGNITUDE) == {3}
+    assert scoped_flags(flagged, SCOPE_SHAPE) == {1}
+    assert scoped_flags(flagged, SCOPE_AMPLITUDE) == {2}
     with pytest.raises(InvalidConfig):
-        scoped_flags(report, "everything")
+        scoped_flags(flagged, "everything")
 
 
 # ---------------------------------------------------------------------------

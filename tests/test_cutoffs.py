@@ -119,6 +119,10 @@ def test_flag_set_union_and_validation():
         FlagSet(3, frozenset({3}), frozenset(), frozenset())
     with pytest.raises(InvalidConfig):
         FlagSet(3, frozenset({-1}), frozenset(), frozenset())
+    for bad in (1.5, 1.0, "a", True, None):
+        with pytest.raises(InvalidConfig, match="flagged indices must be integers"):
+            FlagSet(3, frozenset(), frozenset({0, bad}), frozenset())
+    assert FlagSet(3, frozenset({np.int64(2)}), frozenset(), frozenset()).union == {2}
 
 
 def _magnitude_outlier_table(shift):

@@ -39,6 +39,13 @@ def test_regular_grid_accepts_numpy_integers():
     np.testing.assert_array_equal(Grid.regular(np.int64(4)).points, Grid.regular(4).points)
 
 
+def test_grids_compare_by_value():
+    assert Grid.regular(4) == Grid.regular(4)
+    assert Grid.regular(4) != Grid.regular(5)
+    assert Grid(np.array([0.0, 0.5, 1.0])) != Grid(np.array([0.0, 0.25, 0.5]))
+    assert Grid.regular(4) != "grid"
+
+
 def test_grid_rejects_non_increasing():
     with pytest.raises(InvalidCurve):
         Grid(np.array([0.0, 0.5, 0.4]))

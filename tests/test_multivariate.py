@@ -93,6 +93,15 @@ def test_generate_directions_accepts_numpy_integers():
     assert directions.vectors.tobytes() == generate_directions(4, 3, 0).vectors.tobytes()
 
 
+def test_direction_sets_compare_by_value():
+    assert generate_directions(5, 3, 0) == generate_directions(5, 3, 0)
+    assert generate_directions(5, 3, 0) != generate_directions(5, 3, 1)
+    assert generate_directions(5, 3, 0) != generate_directions(4, 3, 0)
+    vectors = generate_directions(5, 3, 0).vectors
+    assert DirectionSet(vectors, seed=0) != DirectionSet(vectors, seed=None)
+    assert DirectionSet(vectors) != "directions"
+
+
 def test_direction_set_requires_unit_norm():
     with pytest.raises(InvalidDirection):
         DirectionSet(np.array([[1.0, 1.0]]))
@@ -300,6 +309,14 @@ def test_flags_at_threshold_is_inclusive():
     assert flags.shape_outliers == frozenset()
     just_above = votes.flags_at(ThresholdTriple(0.61, 0.61, 0.61))
     assert just_above.amplitude_outliers == frozenset()
+    # Curve i has i + 1 votes of every type out of 10; each type reads its own threshold.
+    ladder = votes_matrix(
+        cells=[(i, l, t) for i in range(10) for l in range(i + 1) for t in range(3)]
+    )
+    flags = ladder.flags_at(ThresholdTriple(0.2, 0.5, 0.8))
+    assert flags.shape_outliers == set(range(1, 10))
+    assert flags.amplitude_outliers == set(range(4, 10))
+    assert flags.magnitude_outliers == set(range(7, 10))
 
 
 def test_any_vote_sentinel_flags_single_votes_only():
@@ -659,6 +676,23 @@ def test_detect_projection_fixed_and_selected_thresholds_share_votes_and_tables(
             np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
     assert fixed.thresholds.selection is None
     assert fixed.thresholds.by_type() != selected.thresholds.by_type()
+
+
+def test_wrongly_typed_thresholds_and_baselines_raise_before_voting(monkeypatch):
+    data = random_mv(0)
+    directions = generate_directions(5, data.n_dims, 0)
+    votes = collect_votes(data, directions)
+    with pytest.raises(InvalidConfig, match=r"thresholds\(votes\) must be a ThresholdTriple"):
+        detect_projection(data, directions, lambda v: (0.4, 0.3, 0.3))
+
+    def no_votes(*args):
+        raise AssertionError("votes collected before the arguments were checked")
+
+    monkeypatch.setattr(fmuod.multivariate, "collect_votes", no_votes)
+    with pytest.raises(InvalidConfig, match="thresholds must be a ThresholdTriple"):
+        detect_projection(data, directions, (0.4, 0.3, 0.3))
+    with pytest.raises(InvalidConfig, match="baselines must be a Baselines"):
+        select_thresholds(votes, baselines={"shape": 0.1})
 
 
 # ---------------------------------------------------------------------------
