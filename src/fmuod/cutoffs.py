@@ -16,10 +16,10 @@ the sign of a zero quartile may differ, which no fence comparison can see.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
+from .datasets import _is_integer
 from .errors import InsufficientData, InvalidConfig, InvalidCurve
 from .indices import VARIANT_ORIGINAL_ABSOLUTE, IndexTable
 
@@ -56,7 +56,7 @@ class FlagSet:
 
     def __post_init__(self):
         for flagged in self.by_type():
-            if any(isinstance(i, bool) or not isinstance(i, Integral) for i in flagged):
+            if not all(_is_integer(i) for i in flagged):
                 raise InvalidConfig("flagged indices must be integers")
             if flagged and (min(flagged) < 0 or max(flagged) >= self.n):
                 raise InvalidConfig("flagged indices out of range")

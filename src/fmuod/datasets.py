@@ -3,11 +3,14 @@
 Curves are observed on a common equidistant grid.  All index computations
 weight every grid point equally, so the grid abscissae only matter for
 simulation (where curves are evaluated from closed forms) and for plotting.
+
+The containers of arrays, here and in the other modules, hold read-only
+copies (:func:`_freeze`) and compare by value (:func:`_array_eq`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from numbers import Integral
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -17,7 +20,40 @@ from .errors import InvalidCurve
 SPACING_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _is_integer(value) -> bool:
+    """True for an integer other than ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """True for a real number other than ``bool``."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _freeze(obj, name: str, dtype=None) -> np.ndarray:
+    """Replace field ``name`` of the frozen ``obj`` by a read-only copy and return it."""
+    arr = np.array(getattr(obj, name), dtype=dtype)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+    return arr
+
+
+def _array_eq(self, other):
+    """``__eq__`` for a dataclass declared with ``eq=False`` that holds arrays.
+
+    Equal when the classes match and so does every compared field, arrays by
+    ``np.array_equal``.  A class that sets ``__eq__`` in its body is unhashable.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
+    return all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+        for a, b in pairs
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Equidistant evaluation points ``t_1 < t_2 < ... < t_k``.
 
@@ -30,8 +66,10 @@ class Grid:
 
     points: np.ndarray
 
+    __eq__ = _array_eq
+
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = _freeze(self, "points", float)
         if pts.ndim != 1 or pts.size < 2:
             raise InvalidCurve("grid must be one-dimensional with at least 2 points")
         if not np.all(np.isfinite(pts)):
@@ -42,18 +80,11 @@ class Grid:
         spacing = (pts[-1] - pts[0]) / (pts.size - 1)
         if np.max(np.abs(steps - spacing)) > SPACING_TOL:
             raise InvalidCurve(f"grid is not equidistant within {SPACING_TOL:g}")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return bool(np.array_equal(self.points, other.points))
 
     @classmethod
     def regular(cls, k: int) -> "Grid":
         """Build the k-point equidistant grid on [0, 1]."""
-        if isinstance(k, bool) or not isinstance(k, Integral):
+        if not _is_integer(k):
             raise InvalidCurve(f"grid size must be an integer, got {k!r}")
         if k < 2:
             raise InvalidCurve("grid needs at least 2 points")
@@ -68,14 +99,16 @@ class Grid:
         return float((self.points[-1] - self.points[0]) / (self.points.size - 1))
 
 
-def _check_values(values: np.ndarray, ndim: int, what: str) -> None:
+def _check_values(values: np.ndarray, ndim: int, what: str, grid: Grid) -> None:
     if values.ndim != ndim:
         raise InvalidCurve(f"{what} must be {ndim}-dimensional, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise InvalidCurve(f"{what} contains NaN or infinite entries")
+    if values.shape[1] != grid.k:
+        raise InvalidCurve(f"curves have {values.shape[1]} points but the grid has {grid.k}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalDataset:
     """A sample of ``n`` univariate curves on a shared grid.
 
@@ -85,17 +118,13 @@ class FunctionalDataset:
     values: np.ndarray
     grid: Grid
 
+    __eq__ = _array_eq
+
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        _check_values(vals, 2, "curve matrix")
-        if vals.shape[1] != self.grid.k:
-            raise InvalidCurve(
-                f"curves have {vals.shape[1]} points but the grid has {self.grid.k}"
-            )
+        vals = _freeze(self, "values", float)
+        _check_values(vals, 2, "curve matrix", self.grid)
         if vals.shape[0] < 1:
             raise InvalidCurve("dataset needs at least one curve")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:
@@ -106,7 +135,7 @@ class FunctionalDataset:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultivariateFunctionalDataset:
     """A sample of ``n`` curves with ``d`` components on a shared grid.
 
@@ -116,17 +145,13 @@ class MultivariateFunctionalDataset:
     values: np.ndarray
     grid: Grid
 
+    __eq__ = _array_eq
+
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        _check_values(vals, 3, "curve tensor")
-        if vals.shape[1] != self.grid.k:
-            raise InvalidCurve(
-                f"curves have {vals.shape[1]} points but the grid has {self.grid.k}"
-            )
+        vals = _freeze(self, "values", float)
+        _check_values(vals, 3, "curve tensor", self.grid)
         if vals.shape[0] < 1 or vals.shape[2] < 1:
             raise InvalidCurve("dataset needs at least one curve and one dimension")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @property
     def n(self) -> int:

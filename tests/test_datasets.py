@@ -7,6 +7,9 @@ from fmuod import (
     InvalidCurve,
     MultivariateFunctionalDataset,
 )
+from fmuod.cutoffs import FlagSet
+from fmuod.indices import IndexTable, ReferenceCurve
+from fmuod.multivariate import DirectionSet, OutlierReport, VoteMatrix
 
 
 def test_regular_grid_basic():
@@ -129,3 +132,78 @@ def test_from_univariate_round_trip():
     mv = MultivariateFunctionalDataset.from_univariate(uni)
     assert mv.n_dims == 1
     np.testing.assert_array_equal(mv.margin(0).values, uni.values)
+
+
+# ---------------------------------------------------------------------------
+# every container of arrays holds read-only copies and compares by value
+
+
+def _report(proportions):
+    no_flags = FlagSet(2, frozenset(), frozenset(), frozenset())
+    return OutlierReport("FST_PRJ", 2, no_flags, proportions=proportions)
+
+
+# name: (build an instance from the caller's array, that array, a different one)
+CONTAINERS = {
+    "Grid": (Grid, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)),
+    "FunctionalDataset": (
+        lambda a: FunctionalDataset(a, Grid.regular(3)),
+        np.arange(6.0).reshape(2, 3),
+        -np.arange(6.0).reshape(2, 3),
+    ),
+    "MultivariateFunctionalDataset": (
+        lambda a: MultivariateFunctionalDataset(a, Grid.regular(3)),
+        np.arange(12.0).reshape(2, 3, 2),
+        np.ones((2, 3, 2)),
+    ),
+    "DirectionSet": (
+        lambda a: DirectionSet(a, seed=1), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    ),
+    "VoteMatrix": (VoteMatrix, np.zeros((2, 3, 3), dtype=bool), np.ones((2, 3, 3), dtype=bool)),
+    "IndexTable": (
+        lambda a: IndexTable(a, a + 1.0, a + 2.0), np.arange(5.0), np.arange(5.0) + 10.0
+    ),
+    "ReferenceCurve": (
+        lambda a: ReferenceCurve(a, a - a.mean()), np.arange(4.0), 2.0 * np.arange(4.0)
+    ),
+    "OutlierReport": (_report, np.zeros((2, 3)), np.full((2, 3), 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_containers_compare_by_value(name):
+    build, array, other = CONTAINERS[name]
+    assert build(array) == build(array.copy())
+    assert build(array) != build(other)
+    assert build(array) != "something else"
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_containers_copy_and_freeze_their_arrays(name):
+    build, array, other = CONTAINERS[name]
+    before = build(array.copy())
+    held = build(array)
+    array[...] = other
+    assert held == before
+    arrays = [v for v in vars(held).values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_containers_are_unhashable(name):
+    build, array, _ = CONTAINERS[name]
+    with pytest.raises(TypeError):
+        hash(build(array))
+
+
+def test_index_table_does_not_alias_its_columns():
+    a = np.arange(5.0)
+    table = IndexTable(a, a.copy(), a.copy())
+    a[0] = 99.0
+    assert table.shape[0] == 0.0
+
+
+def test_report_without_proportions_compares_by_value():
+    assert _report(None) == _report(None)
+    assert _report(None) != _report(np.zeros((2, 3)))
+    assert _report(np.zeros((2, 3))) != _report(None)

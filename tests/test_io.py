@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -79,6 +80,16 @@ def test_wide_round_trip_is_exact(tmp_path):
     back = read_wide_csv(path)
     np.testing.assert_array_equal(back.values, data.values)
     assert back.k == data.k
+
+
+def test_wide_csv_is_pinned(tmp_path):
+    # signed zeros, subnormals, exponents and thirds in their shortest form
+    values = np.array([[0.1, -0.0, 1e-300, 2.5e20, -3.0], [1 / 3, 5e-324, -1e308, 7.0, 0.0]])
+    path = tmp_path / "wide.csv"
+    write_wide_csv(FunctionalDataset(values, Grid.regular(5)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "b688eb734771895783cf233277f6d5825c2487941c39eea3b77c6a4fb8cd45c9"
+    )
 
 
 def test_wide_skips_single_header_row(tmp_path):
