@@ -14,12 +14,12 @@ from __future__ import annotations
 import functools
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cutoffs import FlagSet
-from .datasets import MultivariateFunctionalDataset
+from .datasets import MultivariateFunctionalDataset, _array_eq, _freeze
 from .errors import InvalidConfig
 from .indices import LOCATION_MEDIAN, LOCATIONS, TYPE_ORDER, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
@@ -157,9 +157,13 @@ def f1_score(flagged: frozenset[int], truth: frozenset[int]) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkResult:
-    """Per-repetition detection rates of one model/method pair."""
+    """Per-repetition detection rates of one model/method pair.
+
+    Equality ignores ``runtime_seconds``, so two runs of one seeded benchmark
+    compare equal.
+    """
 
     model: str
     method: str
@@ -170,7 +174,14 @@ class BenchmarkResult:
     seed: int
     tpr: np.ndarray | None
     fpr: np.ndarray
-    runtime_seconds: float = 0.0
+    runtime_seconds: float = field(default=0.0, compare=False)
+
+    __eq__ = _array_eq
+
+    def __post_init__(self):
+        _freeze(self, "fpr", float)
+        if self.tpr is not None:
+            _freeze(self, "tpr", float)
 
     @property
     def reps(self) -> int:
@@ -228,10 +239,10 @@ def _rep_votes(
     """Generate, draw directions and collect the votes of every repetition.
 
     Repetition ``r`` generates with seed ``(seed, r, 0)`` and draws its
-    directions with seed ``(seed, r, 1)``.  The vote matrices keep no index
-    tables.  One entry is cached: ``fmuod benchmark`` runs every method of a
-    model before the next model, so its projection methods share the entry,
-    and a larger cache would only pay off for callers that repeat a seed.
+    directions with seed ``(seed, r, 1)``.  One entry is cached: ``fmuod
+    benchmark`` runs every method of a model before the next model, so its
+    projection methods share the entry, and a larger cache would only pay
+    off for callers that repeat a seed.
     """
     started = time.monotonic()
     truths = []
@@ -240,9 +251,8 @@ def _rep_votes(
         data_seed, method_seed = _rep_seeds(seed, r)
         labeled = generate(SimulationSpec(model, n, k, contamination, data_seed))
         directions = generate_directions(n_directions, labeled.data.n_dims, method_seed)
-        collected = collect_votes(labeled.data, directions, variant, location)
         truths.append(labeled.outlier_indices)
-        votes.append(VoteMatrix(collected.votes, collected.degenerate_projections))
+        votes.append(collect_votes(labeled.data, directions, variant, location))
     return _RepVotes(tuple(truths), tuple(votes), time.monotonic() - started)
 
 
@@ -307,13 +317,20 @@ def run_benchmark(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepPoint:
     """Score of one vote-share triple in a threshold sweep."""
 
     shares: ThresholdTriple
     f1: np.ndarray | None
     fpr: np.ndarray
+
+    __eq__ = _array_eq
+
+    def __post_init__(self):
+        _freeze(self, "fpr", float)
+        if self.f1 is not None:
+            _freeze(self, "f1", float)
 
     @property
     def f1_mean(self) -> float:

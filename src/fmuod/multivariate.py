@@ -307,14 +307,20 @@ def _stack_kernel(samples: np.ndarray, refs: _ReferenceStack, variant: str) -> t
     return columns, _fence_masks(columns, rules_for(variant))
 
 
-def _classify_stack(samples: np.ndarray, variant: str, location: str):
-    """Tables of each sample of a stack, and its flags joined across samples."""
-    refs = _references(samples, location)
+def _tables(labels, columns, variant: str) -> tuple:
+    """The ``(label, IndexTable)`` pairs of a report, one per ``(3, n)`` column block."""
+    return tuple((l, IndexTable(*c, variant=variant)) for l, c in zip(labels, columns))
+
+
+def _detect_stack(method: str, samples: np.ndarray, labels, config: dict) -> OutlierReport:
+    """Report of a stack of samples, with the flags joined across samples."""
+    refs = _references(samples, config["location"])
     if np.any(refs.degenerate):
         raise DegenerateReference("reference curve is constant")
-    columns, masks = _stack_kernel(samples, refs, variant)
-    tables = [IndexTable(*columns[:, j], variant=variant) for j in range(samples.shape[0])]
-    return tables, FlagSet.from_masks(masks.any(axis=1))
+    columns, masks = _stack_kernel(samples, refs, config["variant"])
+    flags = FlagSet.from_masks(masks.any(axis=1))
+    tables = _tables(labels, columns.transpose(1, 0, 2), config["variant"])
+    return OutlierReport(method, samples.shape[1], flags, config=config, tables=tables)
 
 
 def detect_marginal(
@@ -326,14 +332,8 @@ def detect_marginal(
     _check_variant(variant)
     # A contiguous copy: reductions on the strided view round differently.
     samples = np.ascontiguousarray(data.values.transpose(2, 0, 1))
-    tables, flags = _classify_stack(samples, variant, location)
-    return OutlierReport(
-        "FST_MAR",
-        data.n,
-        flags,
-        config={"variant": variant, "location": location},
-        tables=tuple(enumerate(tables)),
-    )
+    config = {"variant": variant, "location": location}
+    return _detect_stack("FST_MAR", samples, range(data.n_dims), config)
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +378,9 @@ def detect_stringed(
 ) -> OutlierReport:
     """Run the univariate pipeline on the stringed curves."""
     _check_variant(variant)
-    tables, flags = _classify_stack(string_dimensions(data, scale).values[None], variant, location)
-    return OutlierReport(
-        "FST_STR",
-        data.n,
-        flags,
-        config={"scale": scale, "variant": variant, "location": location},
-        tables=(("stringed", tables[0]),),
-    )
+    samples = string_dimensions(data, scale).values[None]
+    config = {"scale": scale, "variant": variant, "location": location}
+    return _detect_stack("FST_STR", samples, ("stringed",), config)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +394,10 @@ class VoteMatrix:
     ``votes[i, l, t]`` says projection ``l`` voted curve ``i`` an outlier of
     type ``TYPE_ORDER[t]``.  Projections whose reference curve was constant
     contribute no votes and are counted in ``degenerate_projections``.
-    ``tables`` holds the ``(l, IndexTable)`` pair of each non-degenerate
-    projection the votes were read from; it is empty for a matrix built from
-    votes alone.
     """
 
     votes: np.ndarray
     degenerate_projections: int = 0
-    tables: tuple = field(default=(), compare=False, repr=False)
 
     __eq__ = _array_eq
 
@@ -460,9 +451,14 @@ def collect_votes(
 
     Directions are taken in chunks whose projected curves fit in
     :data:`CHUNK_BYTES`; each step runs on a whole chunk at once, but every
-    reduction stays within one projection, so the votes and tables equal
-    those of projecting, indexing and classifying one direction at a time.
+    reduction stays within one projection, so the votes equal those of
+    projecting, indexing and classifying one direction at a time.
     """
+    return _vote(data, directions, variant, location)[0]
+
+
+def _vote(data, directions, variant, location) -> tuple[VoteMatrix, list, list]:
+    """:func:`collect_votes` plus the labels and ``(3, n)`` index columns of the kept projections."""
     _check_variant(variant)
     if directions.n_dims != data.n_dims:
         raise InvalidDirection(
@@ -470,7 +466,7 @@ def collect_votes(
         )
     n_dirs = directions.n_directions
     votes = np.zeros((data.n, n_dirs, len(TYPE_ORDER)), dtype=bool)
-    tables = []
+    labels, columns = [], []
     per_chunk = max(1, CHUNK_BYTES // (data.n * data.k * 8))
     for start in range(0, n_dirs, per_chunk):
         curves = _project_rows(data.values, directions.vectors[start:start + per_chunk])
@@ -483,13 +479,12 @@ def collect_votes(
         if len(kept) < len(curves):
             curves = curves[kept]
             refs = refs.take(kept)
-        columns, masks = _stack_kernel(curves, refs, variant)
-        labels = [start + j for j in kept]
-        tables.extend(
-            (l, IndexTable(*columns[:, j], variant=variant)) for j, l in enumerate(labels)
-        )
-        votes[:, labels, :] = masks.transpose(2, 1, 0)
-    return VoteMatrix(votes, n_dirs - len(tables), tuple(tables))
+        chunk, masks = _stack_kernel(curves, refs, variant)
+        chunk_labels = [start + j for j in kept]
+        votes[:, chunk_labels, :] = masks.transpose(2, 1, 0)
+        labels.extend(chunk_labels)
+        columns.extend(chunk.transpose(1, 0, 2))
+    return VoteMatrix(votes, n_dirs - len(labels)), labels, columns
 
 
 def select_thresholds(
@@ -561,7 +556,7 @@ def detect_projection(
     """
     if not callable(thresholds):
         _check_instance("thresholds", thresholds, ThresholdTriple)
-    votes = collect_votes(data, directions, variant, location)
+    votes, labels, columns = _vote(data, directions, variant, location)
     chosen = thresholds(votes) if callable(thresholds) else thresholds
     _check_instance("thresholds(votes)", chosen, ThresholdTriple)
     return OutlierReport(
@@ -577,5 +572,5 @@ def detect_projection(
             "variant": variant,
             "location": location,
         },
-        tables=votes.tables,
+        tables=_tables(labels, columns, variant),
     )

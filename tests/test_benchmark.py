@@ -5,22 +5,31 @@ import pytest
 
 import fmuod.benchmark
 from fmuod import (
+    Grid,
     InvalidConfig,
     MethodConfig,
+    MultivariateFunctionalDataset,
     ThresholdTriple,
+    collect_votes,
+    detect_projection,
+    generate_directions,
     run_benchmark,
     run_method,
     threshold_sweep,
 )
 from fmuod.benchmark import (
+    METHOD_MARGINAL,
     METHOD_PROJECTION_ADAPTIVE,
     METHOD_PROJECTION_ANY,
     METHOD_PROJECTION_FIXED,
+    METHOD_STRINGING,
     METHODS,
     SCOPE_AMPLITUDE,
     SCOPE_MAGNITUDE,
     SCOPE_SHAPE,
     SCOPE_UNION,
+    BenchmarkResult,
+    SweepPoint,
     _rep_votes,
     estimate_null_baselines,
     f1_score,
@@ -28,8 +37,9 @@ from fmuod.benchmark import (
     score_flags,
     scoped_flags,
 )
-from fmuod.multivariate import ANY_VOTE_THRESHOLDS, Baselines
+from fmuod.multivariate import ANY_VOTE_THRESHOLDS, Baselines, DirectionSet
 from fmuod.cutoffs import FlagSet
+from fmuod.indices import IndexTable
 from fmuod.simulation import SimulationSpec, generate
 
 
@@ -207,6 +217,35 @@ def test_run_benchmark_statistics():
         run_benchmark("M1", config, reps=0)
 
 
+def bench_result(**change):
+    fields = dict(
+        model="M1", method="FST_MAR", report_scope="union", n=40, k=20, contamination=0.1,
+        seed=3, tpr=np.array([100.0, 50.0]), fpr=np.array([2.5, 0.0]),
+    )
+    return BenchmarkResult(**{**fields, **change})
+
+
+def test_benchmark_results_compare_by_value():
+    assert bench_result() == bench_result(runtime_seconds=1.5)
+    assert bench_result(tpr=None) == bench_result(tpr=None)
+    assert bench_result() != bench_result(fpr=np.array([2.5, 1.0]))
+    assert bench_result() != bench_result(tpr=None)
+    assert bench_result() != bench_result(seed=4)
+    config = MethodConfig(method="FST_PRJ1", n_directions=12)
+    runs = [run_benchmark("M1", config, reps=2, n=40, k=20, seed=17) for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
+def test_benchmark_results_hold_read_only_copies():
+    tpr, fpr = np.array([100.0, 50.0]), np.array([2.5, 0.0])
+    res = bench_result(tpr=tpr, fpr=fpr)
+    tpr[0] = fpr[0] = -1.0
+    assert (res.tpr[0], res.fpr[0]) == (100.0, 2.5)
+    for rates in (res.tpr, res.fpr):
+        with pytest.raises(ValueError):
+            rates[0] = 0.0
+
+
 def test_benchmark_seeds_differ_between_reps():
     config = MethodConfig(method="FST_PRJ1", n_directions=12)
     res = run_benchmark("M1", config, reps=6, n=40, k=20, seed=5)
@@ -344,7 +383,6 @@ def test_shared_votes_are_read_only(vote_collections):
     assert len(entry.votes) == len(entry.truths) == SIM["reps"]
     for votes, truth in zip(entry.votes, entry.truths):
         assert not votes.votes.flags.writeable
-        assert votes.tables == ()
         assert isinstance(truth, tuple)
         with pytest.raises(ValueError):
             votes.votes[0, 0, 0] = not votes.votes[0, 0, 0]
@@ -404,6 +442,31 @@ def test_threshold_sweep_reps_do_not_depend_on_rep_count():
         np.testing.assert_array_equal(a.fpr, b.fpr[:2])
 
 
+def test_sweep_points_compare_by_value_and_hold_read_only_copies():
+    shares = ThresholdTriple(0.4, 0.3, 0.3)
+    f1, fpr = np.array([0.5, 1.0]), np.array([2.5, 0.0])
+    point = SweepPoint(shares, f1, fpr)
+    assert point == SweepPoint(shares, f1.copy(), fpr.copy())
+    assert SweepPoint(shares, None, fpr) == SweepPoint(shares, None, fpr)
+    assert point != SweepPoint(ThresholdTriple(0.5, 0.3, 0.3), f1, fpr)
+    assert point != SweepPoint(shares, None, fpr)
+    assert point != SweepPoint(shares, f1, np.array([2.5, 1.0]))
+    f1[0] = fpr[0] = -1.0
+    assert (point.f1[0], point.fpr[0]) == (0.5, 2.5)
+    with pytest.raises(ValueError):
+        point.f1[0] = 0.0
+
+
+def test_threshold_sweep_points_own_their_rates():
+    grid = [ThresholdTriple(0.3, 0.3, 0.3), ThresholdTriple(0.5, 0.4, 0.4)]
+    points = threshold_sweep("M3", grid, reps=2, n=40, k=20, seed=23, n_directions=12)
+    assert points == threshold_sweep("M3", grid, reps=2, n=40, k=20, seed=23, n_directions=12)
+    assert not np.shares_memory(points[0].fpr, points[1].fpr)
+    assert not np.shares_memory(points[0].f1, points[1].f1)
+    with pytest.raises(ValueError):
+        points[0].fpr[0] = 0.0
+
+
 def test_threshold_sweep_validation():
     with pytest.raises(InvalidConfig):
         threshold_sweep("M1", [], reps=2)
@@ -433,6 +496,69 @@ def test_estimate_null_baselines_golden_values():
         0.02111111111111111,
         0.10222222222222221,
     )
+
+
+# ---------------------------------------------------------------------------
+# index tables are built by the detector that reports them, and only there
+
+
+@pytest.fixture
+def table_count(monkeypatch):
+    """Count IndexTable constructions."""
+    count = [0]
+    original = IndexTable.__post_init__
+
+    def counting(self):
+        count[0] += 1
+        original(self)
+
+    monkeypatch.setattr(IndexTable, "__post_init__", counting)
+    return count
+
+
+def sim_data(model="M1", seed=17):
+    return generate(SimulationSpec(model, 40, 20, 0.1, seed)).data
+
+
+def test_collect_votes_builds_no_index_tables(table_count):
+    data = sim_data()
+    collect_votes(data, generate_directions(12, data.n_dims, seed=1))
+    assert table_count[0] == 0
+
+
+@pytest.mark.parametrize("method", PROJECTION_METHODS)
+def test_run_benchmark_projection_methods_build_no_index_tables(
+    vote_collections, table_count, method
+):
+    run_sim(method)
+    assert len(vote_collections) == SIM["reps"]
+    assert table_count[0] == 0
+
+
+def test_sweep_and_baselines_build_no_index_tables(vote_collections, table_count):
+    threshold_sweep("M1", [ThresholdTriple(0.4, 0.3, 0.3)], reps=2, n=40, k=20, n_directions=12)
+    estimate_null_baselines(reps=2, n=30, k=15, n_directions=10, seed=13)
+    assert len(vote_collections) == 4
+    assert table_count[0] == 0
+
+
+def test_detect_projection_builds_one_table_per_kept_direction(table_count):
+    first = np.random.default_rng(10).standard_normal((12, 8))
+    data = MultivariateFunctionalDataset(np.stack([first, -first], axis=2), Grid.regular(8))
+    s = np.sqrt(0.5)
+    directions = DirectionSet(np.array([[s, s], [1.0, 0.0], [0.0, 1.0], [-s, -s], [s, -s]]))
+    report = detect_projection(data, directions)
+    assert report.degenerate_projections == 2
+    assert table_count[0] == len(report.tables) == 5 - 2
+
+
+@pytest.mark.parametrize(
+    "method, expected",
+    [(METHOD_MARGINAL, 3), (METHOD_STRINGING, 1)] + [(m, 12) for m in PROJECTION_METHODS],
+)
+def test_each_detector_builds_its_tables_once(table_count, method, expected):
+    report = run_method(sim_data(), MethodConfig(method=method, n_directions=12), seed=5)
+    assert table_count[0] == len(report.tables) == expected
 
 
 def test_format_result_table_lists_rows():

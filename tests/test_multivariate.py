@@ -367,16 +367,18 @@ def per_direction_votes(data, directions, variant="standard", location="median")
 
 
 def assert_votes_match_pipeline(data, directions, **options):
+    """collect_votes' votes and detect_projection's tables against the reference."""
     got = collect_votes(data, directions, **options)
+    report = detect_projection(data, directions, **options)
     votes, degenerate, tables = per_direction_votes(data, directions, **options)
     np.testing.assert_array_equal(got.votes, votes)
-    assert got.degenerate_projections == degenerate
-    assert [l for l, _ in got.tables] == [l for l, _ in tables]
-    for (_, a), (_, b) in zip(got.tables, tables):
+    assert got.degenerate_projections == report.degenerate_projections == degenerate
+    assert [l for l, _ in report.tables] == [l for l, _ in tables]
+    for (_, a), (_, b) in zip(report.tables, tables):
         assert a.variant == b.variant
         for column in ("shape", "amplitude", "magnitude"):
             assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
-    return got
+    return got, report
 
 
 @pytest.fixture
@@ -396,7 +398,7 @@ def chunk_rows(monkeypatch):
 def test_collect_votes_matches_per_projection_classification():
     data = random_mv(9)
     directions = generate_directions(8, 3, seed=1)
-    votes = assert_votes_match_pipeline(data, directions)
+    votes, _ = assert_votes_match_pipeline(data, directions)
     assert votes.votes.shape == (30, 8, 3)
 
 
@@ -415,7 +417,7 @@ def test_collect_votes_equals_per_direction_pipeline(
         # n*k*8 bytes per direction; a budget of 0 is below one direction.
         monkeypatch.setattr(fmuod.multivariate, "CHUNK_BYTES", per_chunk * 40 * 20 * 8)
     directions = generate_directions(10, 3, seed=2)
-    votes = assert_votes_match_pipeline(data, directions, variant=variant, location=location)
+    votes, _ = assert_votes_match_pipeline(data, directions, variant=variant, location=location)
     assert votes.votes.any()
     chunk_rows.clear()
     collect_votes(data, directions, variant=variant, location=location)
@@ -433,11 +435,12 @@ def test_collect_votes_equals_pipeline_around_degenerate_direction(monkeypatch, 
         np.array([[1.0, 0.0, 0.0], [s, s, 0.0], [0.0, 0.0, 1.0], [0.0, s, s], [0.0, 1.0, 0.0]])
     )
     monkeypatch.setattr(fmuod.multivariate, "CHUNK_BYTES", 3 * 12 * 8 * 8)
-    votes = assert_votes_match_pipeline(data, directions)
-    # two chunks in collect_votes, then one row per direction in the reference
-    assert chunk_rows == [3, 2] + [1] * 5
+    votes, report = assert_votes_match_pipeline(data, directions)
+    # two chunks each in collect_votes and detect_projection, then one row
+    # per direction in the reference
+    assert chunk_rows == [3, 2] * 2 + [1] * 5
     assert votes.degenerate_projections == 1
-    assert [l for l, _ in votes.tables] == [0, 2, 3, 4]
+    assert [l for l, _ in report.tables] == [0, 2, 3, 4]
 
 
 def test_collect_votes_equals_pipeline_with_constant_curve_in_one_dimension():
@@ -446,8 +449,8 @@ def test_collect_votes_equals_pipeline_with_constant_curve_in_one_dimension():
     values[3] = 2.0
     data = MultivariateFunctionalDataset(values, Grid.regular(10))
     directions = DirectionSet(np.array([[1.0], [-1.0]]))
-    votes = assert_votes_match_pipeline(data, directions)
-    table = votes.tables[0][1]
+    _, report = assert_votes_match_pipeline(data, directions)
+    table = report.tables[0][1]
     assert (table.shape[3], table.amplitude[3]) == (1.0, -1.0)
 
 
@@ -527,9 +530,10 @@ def test_collect_votes_with_only_degenerate_directions_raises_nothing():
     first = np.random.default_rng(26).standard_normal((3, 8))
     data = MultivariateFunctionalDataset(np.stack([first, -first], axis=2), Grid.regular(8))
     s = np.sqrt(0.5)
-    votes = collect_votes(data, DirectionSet(np.array([[s, s], [-s, -s]])))
+    directions = DirectionSet(np.array([[s, s], [-s, -s]]))
+    votes = collect_votes(data, directions)
     assert votes.degenerate_projections == 2
-    assert votes.tables == ()
+    assert detect_projection(data, directions).tables == ()
     assert not votes.votes.any()
 
 
