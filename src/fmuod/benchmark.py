@@ -61,6 +61,12 @@ SCOPE_UNION = "union"
 SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE = (f"{name}_only" for name in TYPE_ORDER)
 SCOPES = (SCOPE_UNION, SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE)
 
+
+def _check_scope(scope: str) -> None:
+    if scope not in SCOPES:
+        raise InvalidConfig(f"unknown scope {scope!r}; use one of {SCOPES}")
+
+
 #: Default number of projection directions.
 DEFAULT_N_DIRECTIONS = 60
 
@@ -81,8 +87,7 @@ class MethodConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidConfig(f"unknown method {self.method!r}; use one of {METHODS}")
-        if self.report_scope not in SCOPES:
-            raise InvalidConfig(f"unknown scope {self.report_scope!r}; use one of {SCOPES}")
+        _check_scope(self.report_scope)
         _check_count("n_directions", self.n_directions, "n_directions must be at least 1")
         _check_instance("vote_shares", self.vote_shares, ThresholdTriple)
         _check_instance("baselines", self.baselines, Baselines)
@@ -127,8 +132,7 @@ def _threshold_selector(config: MethodConfig) -> Callable[[VoteMatrix], Threshol
 
 def scoped_flags(flags: FlagSet, scope: str) -> frozenset[int]:
     """The flag set a benchmark scores under the given reporting scope."""
-    if scope not in SCOPES:
-        raise InvalidConfig(f"unknown scope {scope!r}; use one of {SCOPES}")
+    _check_scope(scope)
     # The per-type scopes follow TYPE_ORDER after the union.
     return flags.union if scope == SCOPE_UNION else flags.by_type()[SCOPES.index(scope) - 1]
 
@@ -375,6 +379,7 @@ def threshold_sweep(
         _check_instance(f"shares_grid[{s}]", shares, ThresholdTriple)
     _check_count("reps", reps, "sweep needs at least one repetition")
     _check_count("n_directions", n_directions, "n_directions must be at least 1")
+    _check_scope(report_scope)
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
     shared = _rep_votes(
         model, n, k, contamination, seed, reps, n_directions, VARIANT_STANDARD, LOCATION_MEDIAN

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidCurve
 
-#: Maximum absolute deviation between grid steps before a grid is rejected.
+#: Maximum deviation between grid steps before a grid is rejected, relative to
+#: the grid's largest absolute point when that exceeds one.
 SPACING_TOL = 1e-12
 
 
@@ -61,7 +62,8 @@ class Grid:
     ----------
     points : array_like
         One-dimensional, strictly increasing, finite, with at least two
-        entries.  Steps must agree within :data:`SPACING_TOL`.
+        entries.  Steps must agree within :data:`SPACING_TOL` times
+        ``max(1, max|t|)``.
     """
 
     points: np.ndarray
@@ -78,8 +80,9 @@ class Grid:
         if not np.all(steps > 0):
             raise InvalidCurve("grid points must be strictly increasing")
         spacing = (pts[-1] - pts[0]) / (pts.size - 1)
-        if np.max(np.abs(steps - spacing)) > SPACING_TOL:
-            raise InvalidCurve(f"grid is not equidistant within {SPACING_TOL:g}")
+        tol = SPACING_TOL * max(1.0, float(np.abs(pts).max()))
+        if np.max(np.abs(steps - spacing)) > tol:
+            raise InvalidCurve(f"grid is not equidistant within {tol:g}")
 
     @classmethod
     def regular(cls, k: int) -> "Grid":

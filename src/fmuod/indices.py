@@ -63,37 +63,6 @@ def center_curve(values) -> np.ndarray:
     return vals - vals.mean()
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceCurve:
-    """Reference curve with its centered version precomputed."""
-
-    values: np.ndarray
-    centered: np.ndarray
-
-    __eq__ = _array_eq
-
-    def __post_init__(self):
-        _freeze(self, "values", float)
-        _freeze(self, "centered", float)
-
-    @classmethod
-    def from_values(cls, values) -> "ReferenceCurve":
-        vals = np.array(values, dtype=float)
-        if vals.ndim != 1:
-            raise InvalidCurve("expected a single curve (one-dimensional array)")
-        refs = _center_references(vals[None])
-        return cls(refs.values[0], refs.centered[0])
-
-    @property
-    def k(self) -> int:
-        return self.values.size
-
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the reference is constant and defines no shape/amplitude."""
-        return not np.any(self.centered)
-
-
 class _ReferenceStack(NamedTuple):
     """The references of a stack of samples, one row per sample.
 
@@ -146,8 +115,8 @@ def _check_variant(variant: str) -> None:
         raise InvalidCurve(f"unknown variant {variant!r}; use one of {VARIANTS}")
 
 
-def reference_from_sample(data: FunctionalDataset, location: str = LOCATION_MEDIAN) -> ReferenceCurve:
-    """Pointwise location estimate of a sample of curves.
+def reference_from_sample(data: FunctionalDataset, location: str = LOCATION_MEDIAN) -> np.ndarray:
+    """Pointwise location estimate of a sample of curves, a read-only ``(k,)`` array.
 
     Parameters
     ----------
@@ -156,8 +125,7 @@ def reference_from_sample(data: FunctionalDataset, location: str = LOCATION_MEDI
     location : str
         ``"median"`` (default, robust) or ``"mean"``.
     """
-    refs = _references(data.values[None], location)
-    return ReferenceCurve(refs.values[0], refs.centered[0])
+    return _references(data.values[None], location).values[0]
 
 
 def _references(samples: np.ndarray, location: str) -> _ReferenceStack:
@@ -217,14 +185,17 @@ class IndexTable:
 
 def compute_index_table(
     data: FunctionalDataset,
-    ref: ReferenceCurve,
+    ref,
     variant: str = VARIANT_STANDARD,
 ) -> IndexTable:
-    """Indices of every curve in ``data`` against ``ref``.
+    """Indices of every curve in ``data`` against the reference curve ``ref``.
 
-    Every reduction runs independently per curve, so row ``i`` equals the
-    one-row table of curve ``i`` alone bit for bit; the indices of a single
-    curve are row 0 of its one-row table.
+    ``ref`` is any one-dimensional array-like of ``data.k`` finite values,
+    such as the result of :func:`reference_from_sample`; it is copied, so
+    changing it afterwards changes no table.  Every reduction runs
+    independently per curve, so row ``i`` equals the one-row table of curve
+    ``i`` alone bit for bit; the indices of a single curve are row 0 of its
+    one-row table.
 
     Raises
     ------
@@ -232,13 +203,16 @@ def compute_index_table(
         If the reference curve is constant.
     """
     _check_variant(variant)
-    if ref.k != data.k:
-        raise InvalidCurve(f"reference has {ref.k} points but the data has {data.k}")
-    if ref.is_degenerate:
+    vals = np.array(ref, dtype=float)
+    if vals.ndim != 1:
+        raise InvalidCurve("expected a single curve (one-dimensional array)")
+    if vals.size != data.k:
+        raise InvalidCurve(f"reference has {vals.size} points but the data has {data.k}")
+    refs = _center_references(vals[None])
+    if refs.degenerate[0]:
         raise DegenerateReference("reference curve is constant")
 
-    means = ref.values[None].mean(axis=1)
-    columns = _index_columns(data.values[None], ref.centered[None], means, variant)
+    columns = _index_columns(data.values[None], refs.centered, refs.means, variant)
     return IndexTable(*columns[:, 0], variant=variant)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import FlagSet, _fence_masks, rules_for
-from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
+from .datasets import FunctionalDataset, MultivariateFunctionalDataset
 from .datasets import _array_eq, _freeze, _is_integer, _is_real
 from .errors import DegenerateReference, InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
@@ -340,16 +340,8 @@ def detect_marginal(
 # stringing
 
 
-def string_dimensions(
-    data: MultivariateFunctionalDataset, scale: str = SCALE_NONE
-) -> FunctionalDataset:
-    """Concatenate the components of each curve into one long curve.
-
-    With ``scale="minmax"`` each component is first rescaled to [0, 1] using
-    its pooled minimum and maximum over all curves and grid points; a
-    zero-range component becomes identically zero.  The output grid keeps the
-    input spacing and starts at the first input point.
-    """
+def _string_values(data: MultivariateFunctionalDataset, scale: str) -> np.ndarray:
+    """The ``(n, d * k)`` stringed curves of :func:`detect_stringed`."""
     if scale not in SCALES:
         raise InvalidConfig(f"unknown scale {scale!r}; use one of {SCALES}")
     pieces = []
@@ -363,11 +355,7 @@ def string_dimensions(
                 raise InvalidCurve(f"component {m} has a range too wide to rescale (overflow)")
             block = np.zeros_like(block) if span == 0.0 else (block - low) / span
         pieces.append(block)
-    values = np.concatenate(pieces, axis=1)
-    start = float(data.grid.points[0])
-    step = data.grid.spacing
-    grid = Grid(start + step * np.arange(data.k * data.n_dims))
-    return FunctionalDataset(values, grid)
+    return np.concatenate(pieces, axis=1)
 
 
 def detect_stringed(
@@ -376,9 +364,15 @@ def detect_stringed(
     variant: str = VARIANT_STANDARD,
     location: str = LOCATION_MEDIAN,
 ) -> OutlierReport:
-    """Run the univariate pipeline on the stringed curves."""
+    """Run the univariate pipeline on the stringed curves.
+
+    Each curve's components are concatenated into one curve of ``d * k``
+    points.  With ``scale="minmax"`` each component is first rescaled to
+    [0, 1] by its pooled minimum and maximum over all curves and grid points;
+    a zero-range component becomes identically zero.
+    """
     _check_variant(variant)
-    samples = string_dimensions(data, scale).values[None]
+    samples = _string_values(data, scale)[None]
     config = {"scale": scale, "variant": variant, "location": location}
     return _detect_stack("FST_STR", samples, ("stringed",), config)
 

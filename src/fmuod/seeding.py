@@ -8,19 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .datasets import _is_integer
 from .errors import InvalidConfig
 
 
 def _check_key(key: tuple[int, ...]) -> list[int]:
     if not key:
         raise InvalidConfig("seed key must not be empty")
-    parts = []
-    for part in key:
-        as_int = int(part)
-        if as_int != part or as_int < 0:
-            raise InvalidConfig("seed key parts must be non-negative integers")
-        parts.append(as_int)
-    return parts
+    if not all(_is_integer(part) and part >= 0 for part in key):
+        raise InvalidConfig("seed key parts must be non-negative integers")
+    return [int(part) for part in key]
 
 
 def child_seed(*key: int) -> int:

@@ -42,6 +42,7 @@ bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,9 @@ class SimulationSpec:
     def n_outliers(self) -> int:
         if self.model == "M0":
             return 0
-        return int(np.floor(self.contamination * self.n))
+        # Round away the binary error of the product first: 0.29 * 100 is
+        # 28.999999999999996, and 29 outliers were asked for.
+        return math.floor(round(self.contamination * self.n, 9))
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,12 @@ def test_run_benchmark_reps_do_not_depend_on_rep_count():
     np.testing.assert_array_equal(short.fpr, long.fpr[:2])
 
 
+@pytest.mark.parametrize("seed", [3.0, True, -1])
+def test_run_benchmark_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(InvalidConfig, match="seed key parts"):
+        run_benchmark("M1", MethodConfig(method="FST_MAR"), reps=1, n=20, k=10, seed=seed)
+
+
 def test_run_benchmark_null_model_has_no_tpr():
     config = MethodConfig(method="FST_MAR")
     res = run_benchmark("M0", config, reps=3, n=30, k=15, seed=1)
@@ -373,6 +379,15 @@ def test_sweep_and_fixed_benchmark_share_the_votes(vote_collections):
     )
     run_sim(METHOD_PROJECTION_FIXED)
     assert len(vote_collections) == SIM["reps"]
+
+
+def test_sweep_rejects_an_unknown_scope_before_collecting_votes(vote_collections):
+    with pytest.raises(InvalidConfig, match="unknown scope 'bogus'"):
+        threshold_sweep(
+            SIM["model"], [ThresholdTriple(0.4, 0.3, 0.3)], SIM["reps"], SIM["n"], SIM["k"],
+            SIM["contamination"], SIM["seed"], n_directions=12, report_scope="bogus",
+        )
+    assert vote_collections == []
 
 
 def test_shared_votes_are_read_only(vote_collections):

@@ -8,7 +8,7 @@ from fmuod import (
     MultivariateFunctionalDataset,
 )
 from fmuod.cutoffs import FlagSet
-from fmuod.indices import IndexTable, ReferenceCurve
+from fmuod.indices import IndexTable
 from fmuod.multivariate import DirectionSet, OutlierReport, VoteMatrix
 
 
@@ -59,6 +59,19 @@ def test_grid_rejects_non_increasing():
 def test_grid_rejects_unequal_spacing():
     with pytest.raises(InvalidCurve):
         Grid(np.array([0.0, 0.1, 1.0]))
+    uneven = np.linspace(0.0, 1e4, 301)
+    uneven[150] += 1e-6  # beyond the scaled tolerance of 1e-8
+    with pytest.raises(InvalidCurve):
+        Grid(uneven)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [np.linspace(0.0, 1e4, 301), np.linspace(1e6, 1e6 + 1.0, 11), np.linspace(0.0, 3600.0, 50)],
+    ids=["wide", "far-offset", "seconds"],
+)
+def test_grid_spacing_tolerance_scales_with_the_points(points):
+    np.testing.assert_array_equal(Grid(points).points, points)
 
 
 def test_grid_rejects_non_finite():
@@ -162,9 +175,6 @@ CONTAINERS = {
     "VoteMatrix": (VoteMatrix, np.zeros((2, 3, 3), dtype=bool), np.ones((2, 3, 3), dtype=bool)),
     "IndexTable": (
         lambda a: IndexTable(a, a + 1.0, a + 2.0), np.arange(5.0), np.arange(5.0) + 10.0
-    ),
-    "ReferenceCurve": (
-        lambda a: ReferenceCurve(a, a - a.mean()), np.arange(4.0), 2.0 * np.arange(4.0)
     ),
     "OutlierReport": (_report, np.zeros((2, 3)), np.full((2, 3), 0.5)),
 }

@@ -18,16 +18,11 @@ from fmuod.indices import (
     LOCATION_MEDIAN,
     VARIANT_ORIGINAL_ABSOLUTE,
     VARIANT_STANDARD,
-    ReferenceCurve,
     _center_references,
     _constant_rows,
     _references,
     center_curve,
 )
-
-
-def make_ref(values):
-    return ReferenceCurve.from_values(np.asarray(values, dtype=float))
 
 
 def index_rows(curves, ref, variant=VARIANT_STANDARD):
@@ -46,8 +41,8 @@ def random_curves(seed, n, k, scale=1.0):
 
 
 def test_candidate_equal_to_reference_is_all_zero():
-    ref = make_ref([0.3, 1.7, -0.2, 0.9])
-    table = index_rows(ref.values, ref)
+    ref = [0.3, 1.7, -0.2, 0.9]
+    table = index_rows(ref, ref)
     assert table.shape[0] == pytest.approx(0.0, abs=1e-12)
     assert table.amplitude[0] == pytest.approx(0.0, abs=1e-12)
     assert table.magnitude[0] == pytest.approx(0.0, abs=1e-12)
@@ -56,43 +51,39 @@ def test_candidate_equal_to_reference_is_all_zero():
 def test_double_slope_worked_example():
     # ref (0,1,2), y (0,2,4): centered y=(-2,0,2), centered ref=(-1,0,1),
     # slope 4/2 = 2, intercept mean(y) - 2*mean(ref) = 0.
-    ref = make_ref([0.0, 1.0, 2.0])
-    table = index_rows([0.0, 2.0, 4.0], ref)
+    table = index_rows([0.0, 2.0, 4.0], [0.0, 1.0, 2.0])
     assert table.shape[0] == pytest.approx(0.0, abs=1e-12)
     assert table.amplitude[0] == pytest.approx(1.0)
     assert table.magnitude[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vertical_shift_worked_example():
-    ref = make_ref([0.1, 0.5, 0.9, 0.4])
-    table = index_rows(ref.values + 5.0, ref)
+    ref = np.array([0.1, 0.5, 0.9, 0.4])
+    table = index_rows(ref + 5.0, ref)
     assert table.shape[0] == pytest.approx(0.0, abs=1e-12)
     assert table.amplitude[0] == pytest.approx(0.0, abs=1e-12)
     assert table.magnitude[0] == pytest.approx(5.0)
 
 
 def test_constant_candidate_has_no_shape():
-    ref = make_ref([0.0, 1.0, 2.0, 3.0])
-    table = index_rows([4.0, 4.0, 4.0, 4.0], ref)
+    table = index_rows([4.0, 4.0, 4.0, 4.0], [0.0, 1.0, 2.0, 3.0])
     assert table.shape[0] == 1.0
     assert table.amplitude[0] == -1.0
     assert table.magnitude[0] == pytest.approx(4.0)
 
 
 def test_constant_reference_is_degenerate():
-    ref = make_ref([2.0, 2.0, 2.0])
-    assert ref.is_degenerate
-    with pytest.raises(DegenerateReference):
-        index_rows([1.0, 2.0, 3.0], ref)
+    with pytest.raises(DegenerateReference, match="reference curve is constant"):
+        index_rows([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
 
 
 def test_near_constant_reference_is_not_silently_zeroed():
-    ref = make_ref([2.0, 2.0, 2.0 + 1e-9])
-    assert not ref.is_degenerate
+    table = index_rows([1.0, 2.0, 3.0], [2.0, 2.0, 2.0 + 1e-9])
+    assert np.all(np.isfinite(table.by_type()))
 
 
 def test_shape_range_on_random_data():
-    ref = make_ref(np.sin(np.linspace(0.0, 3.0, 40)))
+    ref = np.sin(np.linspace(0.0, 3.0, 40))
     values = random_curves(1, 200, 40, scale=3.0)
     table = compute_index_table(FunctionalDataset(values, Grid.regular(40)), ref)
     assert np.all(table.shape >= 0.0)
@@ -105,7 +96,7 @@ def test_shape_range_on_random_data():
 
 def test_table_matches_per_row_computation_exactly():
     """Vectorized table rows must equal one-row tables bit for bit."""
-    ref = make_ref(np.cos(np.linspace(0.0, 2.0, 25)))
+    ref = np.cos(np.linspace(0.0, 2.0, 25))
     values = random_curves(2, 100, 25, scale=2.0)
     # include a constant row and a non-contiguous layout
     values[17] = 0.25
@@ -119,7 +110,7 @@ def test_table_matches_per_row_computation_exactly():
 
 
 def test_original_absolute_takes_absolute_values():
-    ref = make_ref([0.0, 1.0, 2.0, 3.0])
+    ref = [0.0, 1.0, 2.0, 3.0]
     values = np.array([[3.0, 2.0, 1.0, 0.0], [-5.0, -4.0, -3.0, -2.0]])
     data = FunctionalDataset(values, Grid.regular(4))
     std = compute_index_table(data, ref, VARIANT_STANDARD)
@@ -131,7 +122,7 @@ def test_original_absolute_takes_absolute_values():
 
 
 def test_table_rejects_unknown_variant_and_grid_mismatch():
-    ref = make_ref([0.0, 1.0, 2.0])
+    ref = [0.0, 1.0, 2.0]
     data = FunctionalDataset(np.zeros((2, 4)) + [0, 1, 2, 3], Grid.regular(4))
     with pytest.raises(InvalidCurve):
         compute_index_table(data, ref)
@@ -141,15 +132,37 @@ def test_table_rejects_unknown_variant_and_grid_mismatch():
         )
 
 
+def test_table_rejects_reference_of_wrong_shape_or_values():
+    data = FunctionalDataset(np.zeros((2, 4)) + [0, 1, 2, 3], Grid.regular(4))
+    with pytest.raises(InvalidCurve, match="one-dimensional"):
+        compute_index_table(data, np.ones((1, 4)))
+    with pytest.raises(InvalidCurve, match="reference has 3 points but the data has 4"):
+        compute_index_table(data, [0.0, 1.0, 2.0])
+    with pytest.raises(InvalidCurve, match="NaN or infinite"):
+        compute_index_table(data, [0.0, np.inf, 2.0, 3.0])
+
+
+def test_reference_as_list_writable_or_read_only_array_gives_equal_bytes():
+    data = FunctionalDataset(random_curves(3, 9, 6), Grid.regular(6))
+    from_sample = reference_from_sample(data)
+    assert from_sample.shape == (6,) and not from_sample.flags.writeable
+    writable = from_sample.copy()
+    tables = [compute_index_table(data, ref) for ref in (from_sample.tolist(), writable, from_sample)]
+    as_bytes = [np.stack(t.by_type()).tobytes() for t in tables]
+    assert as_bytes[0] == as_bytes[1] == as_bytes[2]
+    writable[:] = np.arange(6.0)
+    assert np.stack(tables[1].by_type()).tobytes() == as_bytes[1]
+
+
 def test_table_row_accessors():
-    ref = make_ref([0.0, 1.0, 2.0])
+    ref = [0.0, 1.0, 2.0]
     data = FunctionalDataset([[0.0, 2.0, 4.0], [5.1, 6.1, 7.1]], Grid.regular(3))
     table = compute_index_table(data, ref)
     assert len(table) == 2
 
 
 def test_compute_indices_rejects_bad_input():
-    ref = make_ref([0.0, 1.0, 2.0])
+    ref = [0.0, 1.0, 2.0]
     with pytest.raises(InvalidCurve):
         index_rows([0.0, np.nan, 1.0], ref)
 
@@ -170,9 +183,9 @@ def test_reference_from_sample_median_and_mean():
     values = np.array([[0.0, 0.0], [1.0, 2.0], [10.0, 4.0]])
     data = FunctionalDataset(values, Grid.regular(2))
     med = reference_from_sample(data, LOCATION_MEDIAN)
-    np.testing.assert_allclose(med.values, [1.0, 2.0])
+    np.testing.assert_allclose(med, [1.0, 2.0])
     mean = reference_from_sample(data, LOCATION_MEAN)
-    np.testing.assert_allclose(mean.values, [11.0 / 3.0, 2.0])
+    np.testing.assert_allclose(mean, [11.0 / 3.0, 2.0])
 
 
 def test_reference_from_sample_needs_two_curves():
@@ -238,20 +251,21 @@ def reference_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(reference_rows())
 def test_bulk_references_equal_from_values(stack):
+    """Each row of a centred stack equals that row centred alone."""
     singles = []
     for row in stack:
         try:
-            singles.append(ReferenceCurve.from_values(row))
+            singles.append(_center_references(row[None].copy()))
         except InvalidCurve:
             with pytest.raises(InvalidCurve, match="overflow"):
                 _center_references(stack.copy())
             return
     refs = _center_references(stack.copy())
     for j, ref in enumerate(singles):
-        assert refs.values[j].tobytes() == ref.values.tobytes()
-        assert refs.centered[j].tobytes() == ref.centered.tobytes()
-        assert refs.degenerate[j] == ref.is_degenerate
-        if not ref.is_degenerate:
+        # values, centered, means and degenerate, field by field
+        for stacked, alone in zip(refs, ref):
+            assert stacked[j].tobytes() == alone[0].tobytes()
+        if not ref.degenerate[0]:
             assert refs.means[j].tobytes() == stack[j].mean().tobytes()
             assert refs.centered[j].tobytes() == center_curve(stack[j]).tobytes()
 
@@ -292,8 +306,9 @@ def test_constant_rows_equal_zero_range(samples):
 
 def test_reference_whose_mean_overflows_is_rejected():
     with pytest.raises(InvalidCurve, match="overflow"):
-        make_ref([1.7e308, 1.7e308, 1.0])
-    assert make_ref([1.7e308, 1.7e308, 1.7e308]).is_degenerate
+        index_rows([1.0, 2.0, 3.0], [1.7e308, 1.7e308, 1.0])
+    with pytest.raises(DegenerateReference):
+        index_rows([1.0, 2.0, 3.0], [1.7e308, 1.7e308, 1.7e308])
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +325,13 @@ def curve_and_ref(draw, k_min=5, k_max=24):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
     ref_vals = rng.standard_normal(k) + np.linspace(0.0, 1.0, k)
-    return y, make_ref(ref_vals)
+    return y, ref_vals
 
 
 SPIKE_BELOW_ROUNDING = np.array([0.0, 0.0, 0.0, 0.0, 3.06e-77])
 SPIKE_UNDERFLOWING = np.array([0.0, 0.0, 0.0, 0.0, 3.8159e-160])
 SPIKE_UNDERFLOWING_TO_ZERO = np.array([0.0, 0.0, 0.0, 0.0, 1e-162])
-SPIKE_REF = make_ref(np.random.default_rng(0).standard_normal(5) + np.linspace(0.0, 1.0, 5))
+SPIKE_REF = np.random.default_rng(0).standard_normal(5) + np.linspace(0.0, 1.0, 5)
 
 
 def close(a, b, rel=1e-9):
@@ -368,7 +383,7 @@ def test_magnitude_is_additive(data, seed):
 def test_amplitude_ignores_additions_orthogonal_to_reference(data, seed):
     y, ref = data
     z = np.random.default_rng(seed).standard_normal(y.size)
-    mu_c = ref.centered
+    mu_c = center_curve(ref)
     z = z - (z @ mu_c) / (mu_c @ mu_c) * mu_c  # <z, centered ref> = 0
     amplitude = index_rows([y + z, y], ref).amplitude
     assert close(amplitude[0], amplitude[1])

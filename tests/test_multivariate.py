@@ -35,8 +35,8 @@ from fmuod.multivariate import (
     TYPE_ORDER,
     DirectionSet,
     VoteMatrix,
+    _string_values,
     project,
-    string_dimensions,
 )
 
 
@@ -137,16 +137,16 @@ def test_project_validation():
 
 def test_string_single_dimension_without_scaling_is_identity():
     data = random_mv(1, d=1)
-    strung = string_dimensions(data, SCALE_NONE)
-    np.testing.assert_array_equal(strung.values, data.values[:, :, 0])
+    strung = _string_values(data, SCALE_NONE)
+    np.testing.assert_array_equal(strung, data.values[:, :, 0])
 
 
 def test_string_minmax_worked_example():
     # pooled ranges [1, 2] and [10, 20] map the rows onto (0,1,0,1) / (1,0,1,0)
     values = np.array([[[1.0, 10.0], [2.0, 20.0]], [[2.0, 20.0], [1.0, 10.0]]])
     data = MultivariateFunctionalDataset(values, Grid.regular(2))
-    strung = string_dimensions(data, SCALE_MINMAX)
-    np.testing.assert_allclose(strung.values, [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
+    strung = _string_values(data, SCALE_MINMAX)
+    np.testing.assert_allclose(strung, [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
 
 
 def test_string_zero_range_dimension_maps_to_zero():
@@ -154,8 +154,8 @@ def test_string_zero_range_dimension_maps_to_zero():
         [np.random.default_rng(2).normal(size=(4, 5)), np.full((4, 5), 3.0)], axis=2
     )
     data = MultivariateFunctionalDataset(values, Grid.regular(5))
-    strung = string_dimensions(data, SCALE_MINMAX)
-    np.testing.assert_array_equal(strung.values[:, 5:], np.zeros((4, 5)))
+    strung = _string_values(data, SCALE_MINMAX)
+    np.testing.assert_array_equal(strung[:, 5:], np.zeros((4, 5)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -165,28 +165,32 @@ def test_string_minmax_rejects_overflowing_range():
     values[6, :, 1] = -1.7e308
     data = MultivariateFunctionalDataset(values, Grid.regular(10))
     with pytest.raises(InvalidCurve, match="component 1 "):
-        string_dimensions(data, SCALE_MINMAX)
-
-
-def test_string_grid_keeps_spacing_and_start():
-    data = random_mv(3, k=10, d=3)
-    strung = string_dimensions(data)
-    assert strung.k == 30
-    assert strung.grid.points[0] == data.grid.points[0]
-    assert strung.grid.spacing == pytest.approx(data.grid.spacing)
+        _string_values(data, SCALE_MINMAX)
 
 
 def test_string_dimension_order_matters():
     data = random_mv(4, d=2)
     reordered = MultivariateFunctionalDataset(data.values[:, :, ::-1], data.grid)
-    a = string_dimensions(data, SCALE_NONE)
-    b = string_dimensions(reordered, SCALE_NONE)
-    np.testing.assert_array_equal(a.values[:, :20], b.values[:, 20:])
+    a = _string_values(data, SCALE_NONE)
+    b = _string_values(reordered, SCALE_NONE)
+    np.testing.assert_array_equal(a[:, :20], b[:, 20:])
 
 
 def test_string_rejects_unknown_scale():
     with pytest.raises(InvalidConfig):
-        string_dimensions(random_mv(0), "zscore")
+        _string_values(random_mv(0), "zscore")
+
+
+@pytest.mark.parametrize("scale", [SCALE_NONE, SCALE_MINMAX])
+def test_detect_stringed_does_not_depend_on_the_grid_points(scale):
+    regular = random_mv(3, n=20, k=50, d=3)
+    # the stringed curves use the values only, never the grid points
+    seconds = MultivariateFunctionalDataset(regular.values, Grid(np.linspace(0.0, 3600.0, 50)))
+    a, b = detect_stringed(regular, scale), detect_stringed(seconds, scale)
+    assert a.flags == b.flags
+    (_, table_a), = a.tables
+    (_, table_b), = b.tables
+    assert np.stack(table_a.by_type()).tobytes() == np.stack(table_b.by_type()).tobytes()
 
 
 def test_detect_stringed_finds_single_margin_shift():
@@ -354,10 +358,10 @@ def per_direction_votes(data, directions, variant="standard", location="median")
     tables = []
     for l, vec in enumerate(directions.vectors):
         proj = project(data, vec)
-        ref = reference_from_sample(proj, location)
-        if ref.is_degenerate:
+        try:
+            table = compute_index_table(proj, reference_from_sample(proj, location), variant)
+        except DegenerateReference:
             continue
-        table = compute_index_table(proj, ref, variant)
         tables.append((l, table))
         flags = classify_outliers(table)
         by_type = (flags.shape_outliers, flags.amplitude_outliers, flags.magnitude_outliers)

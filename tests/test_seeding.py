@@ -34,4 +34,8 @@ def test_key_validation():
     with pytest.raises(InvalidConfig):
         child_seed(1.5)
     with pytest.raises(InvalidConfig):
+        child_seed(3.0)
+    with pytest.raises(InvalidConfig):
+        child_seed(True)
+    with pytest.raises(InvalidConfig):
         child_rng(0, -3)

@@ -144,6 +144,17 @@ def test_outlier_count_uses_floor():
     assert SimulationSpec("M1", n=105, contamination=0.1).n_outliers == 10
     assert SimulationSpec("M1", n=100, contamination=0.099).n_outliers == 9
     assert SimulationSpec("M0", n=100, contamination=0.5).n_outliers == 0
+    # products that lie just below an integer in binary floating point
+    assert SimulationSpec("M1", n=100, contamination=0.29).n_outliers == 29
+    assert SimulationSpec("M1", n=50, contamination=0.58).n_outliers == 29
+    assert SimulationSpec("M1", n=90, contamination=0.7).n_outliers == 63
+
+
+def test_outlier_count_is_exact_for_every_share_in_hundredths():
+    for hundredths in range(101):
+        for n in range(1, 1001):
+            spec = SimulationSpec("M1", n=n, contamination=hundredths / 100)
+            assert spec.n_outliers == hundredths * n // 100, (hundredths, n)
 
 
 def test_generate_shapes_and_labels():
