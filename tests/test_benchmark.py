@@ -198,8 +198,8 @@ def test_run_benchmark_reps_do_not_depend_on_rep_count():
     np.testing.assert_array_equal(short.fpr, long.fpr[:2])
 
 
-@pytest.mark.parametrize("seed", [3.0, True, -1])
-def test_run_benchmark_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+@pytest.mark.parametrize("seed", [3.0, True])
+def test_run_benchmark_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(InvalidConfig, match="seed key parts"):
         run_benchmark("M1", MethodConfig(method="FST_MAR"), reps=1, n=20, k=10, seed=seed)
 
