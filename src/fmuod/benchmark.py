@@ -4,10 +4,15 @@ A benchmark repeats ``generate -> detect -> score`` with per-repetition seeds
 derived from a master seed, then aggregates true- and false-positive rates
 (percentages) across repetitions.  Repetitions run one after another.
 
-The projection methods differ only in the thresholds they read off one vote
-matrix, so the votes of each repetition are collected once
-(:func:`_rep_votes`) and shared by the projection methods, the threshold
-sweep and the baseline estimate that ask for the same simulation.
+Every method of one model reads the same repetitions, so each repetition is
+generated once (:func:`_repetitions`) and shared by all five methods; the
+memo holds one simulation, reps x n x k x d x 8 bytes.  The projection
+methods differ only in the thresholds they read off one vote matrix, so the
+votes of each repetition are collected once (:func:`_rep_votes`) and shared
+by the projection methods, the threshold sweep and the baseline estimate
+that ask for the same simulation.  A method's ``runtime_seconds`` includes
+the shared generation time, and for a projection method the vote time,
+whichever call paid for them.
 """
 from __future__ import annotations
 
@@ -42,7 +47,7 @@ from .multivariate import (
     select_thresholds,
 )
 from .seeding import child_seed
-from .simulation import SimulationSpec, generate
+from .simulation import LabeledDataset, SimulationSpec, generate
 
 METHOD_MARGINAL = "FST_MAR"
 METHOD_STRINGING = "FST_STR"
@@ -212,18 +217,43 @@ def _sd(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
-def _rep_seeds(master_seed: int, rep: int) -> tuple[int, int]:
-    return child_seed(master_seed, rep, 0), child_seed(master_seed, rep, 1)
+@dataclass(frozen=True)
+class _Repetitions:
+    """The generated datasets of every repetition of one simulation.
+
+    ``seconds`` is the time it took to generate them.
+    """
+
+    datasets: tuple[LabeledDataset, ...]
+    seconds: float
+
+
+@functools.lru_cache(maxsize=1)
+def _repetitions(
+    model: str, n: int, k: int, contamination: float, seed: int, reps: int
+) -> _Repetitions:
+    """Generate every repetition of one simulation.
+
+    Repetition ``r`` generates with seed ``(seed, r, 0)``.  One entry is
+    cached, as in :func:`_rep_votes`: ``fmuod benchmark`` runs every method
+    of a model before the next model, so all five methods share the entry.
+    """
+    started = time.monotonic()
+    datasets = tuple(
+        generate(SimulationSpec(model, n, k, contamination, child_seed(seed, r, 0)))
+        for r in range(reps)
+    )
+    return _Repetitions(datasets, time.monotonic() - started)
 
 
 @dataclass(frozen=True)
 class _RepVotes:
-    """Truth indices and projection votes of each repetition of one simulation.
+    """Projection votes of each repetition of one simulation.
 
-    ``seconds`` is the time it took to build them.
+    ``seconds`` is the time it took to collect them, without generating the
+    data.
     """
 
-    truths: tuple[tuple[int, ...], ...]
     votes: tuple[VoteMatrix, ...]
     seconds: float
 
@@ -240,24 +270,21 @@ def _rep_votes(
     variant: str,
     location: str,
 ) -> _RepVotes:
-    """Generate, draw directions and collect the votes of every repetition.
+    """Draw directions and collect the votes of every repetition.
 
-    Repetition ``r`` generates with seed ``(seed, r, 0)`` and draws its
+    The data come from :func:`_repetitions`; repetition ``r`` draws its
     directions with seed ``(seed, r, 1)``.  One entry is cached: ``fmuod
     benchmark`` runs every method of a model before the next model, so its
     projection methods share the entry, and a larger cache would only pay
     off for callers that repeat a seed.
     """
+    generated = _repetitions(model, n, k, contamination, seed, reps)
     started = time.monotonic()
-    truths = []
     votes = []
-    for r in range(reps):
-        data_seed, method_seed = _rep_seeds(seed, r)
-        labeled = generate(SimulationSpec(model, n, k, contamination, data_seed))
-        directions = generate_directions(n_directions, labeled.data.n_dims, method_seed)
-        truths.append(labeled.outlier_indices)
+    for r, labeled in enumerate(generated.datasets):
+        directions = generate_directions(n_directions, labeled.data.n_dims, child_seed(seed, r, 1))
         votes.append(collect_votes(labeled.data, directions, variant, location))
-    return _RepVotes(tuple(truths), tuple(votes), time.monotonic() - started)
+    return _RepVotes(tuple(votes), time.monotonic() - started)
 
 
 def run_benchmark(
@@ -273,11 +300,14 @@ def run_benchmark(
 
     Repetition ``r`` generates with seed ``(seed, r, 0)`` and detects with
     direction seed ``(seed, r, 1)``, so its rates do not depend on how many
-    repetitions run.  The projection methods read their flags off each
-    repetition's votes, which are reused when the previous call asked for
-    the same simulation, directions, variant and location;
-    ``runtime_seconds`` includes the time those votes took to collect either
-    way.
+    repetitions run.  The generated repetitions are reused when the previous
+    call asked for the same simulation, so every method of one model reads
+    the same data.  The projection methods read their flags off each
+    repetition's votes, which are likewise reused when the previous call
+    also asked for the same directions, variant and location.
+    ``runtime_seconds`` includes the time the data took to generate and, for
+    a projection method, the votes took to collect, whether this call built
+    them or reused them.
     """
     _check_count("reps", reps, "benchmark needs at least one repetition")
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
@@ -285,25 +315,26 @@ def run_benchmark(
     def score(flags: FlagSet, truth: tuple[int, ...]) -> tuple[float, float]:
         return score_flags(scoped_flags(flags, config.report_scope), truth, n)
 
-    started = time.monotonic()
+    generated = _repetitions(model, n, k, contamination, seed, reps)
+    # Charge every method the build time of the data and votes it reads,
+    # whether it built or reused them.
     if config.method in (METHOD_MARGINAL, METHOD_STRINGING):
-        pairs = []
-        for r in range(reps):
-            data_seed, method_seed = _rep_seeds(seed, r)
-            labeled = generate(SimulationSpec(model, n, k, contamination, data_seed))
-            report = run_method(labeled.data, config, method_seed)
-            pairs.append(score(report.flags, labeled.outlier_indices))
+        started = time.monotonic() - generated.seconds
+        pairs = [
+            score(run_method(labeled.data, config, child_seed(seed, r, 1)).flags,
+                  labeled.outlier_indices)
+            for r, labeled in enumerate(generated.datasets)
+        ]
     else:
         shared = _rep_votes(
             model, n, k, contamination, seed, reps,
             config.n_directions, config.variant, config.location,
         )
-        # Charge every method the votes' build time, whether it built or reused them.
-        started = time.monotonic() - shared.seconds
+        started = time.monotonic() - generated.seconds - shared.seconds
         choose = _threshold_selector(config)
         pairs = [
-            score(votes.flags_at(choose(votes)), truth)
-            for truth, votes in zip(shared.truths, shared.votes)
+            score(votes.flags_at(choose(votes)), labeled.outlier_indices)
+            for labeled, votes in zip(generated.datasets, shared.votes)
         ]
     tpr = np.array([p[0] for p in pairs])
     fpr = np.array([p[1] for p in pairs])
@@ -381,12 +412,14 @@ def threshold_sweep(
     _check_count("n_directions", n_directions, "n_directions must be at least 1")
     _check_scope(report_scope)
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
+    generated = _repetitions(model, n, k, contamination, seed, reps)
     shared = _rep_votes(
         model, n, k, contamination, seed, reps, n_directions, VARIANT_STANDARD, LOCATION_MEDIAN
     )
     f1 = np.empty((reps, len(shares_grid)))
     fpr = np.empty((reps, len(shares_grid)))
-    for r, (truth, votes) in enumerate(zip(shared.truths, shared.votes)):
+    for r, (labeled, votes) in enumerate(zip(generated.datasets, shared.votes)):
+        truth = labeled.outlier_indices
         truth_set = frozenset(truth)
         for s, shares in enumerate(shares_grid):
             flagged = scoped_flags(votes.flags_at(shares), report_scope)

@@ -188,8 +188,8 @@ def cmd_benchmark(args) -> int:
         )
         for method in methods
     ]
-    # Models outer, methods inner: the projection methods of one model share
-    # each repetition's votes.
+    # Models outer, methods inner: the methods of one model share each
+    # repetition's data, and the projection methods its votes.
     results = [
         bench.run_benchmark(model, config, args.reps, args.n, args.k, args.alpha, args.seed)
         for model in models

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import _is_integer
+from .datasets import _array, _is_integer
 from .errors import InsufficientData, InvalidConfig, InvalidCurve
 from .indices import VARIANT_ORIGINAL_ABSOLUTE, IndexTable
 
@@ -105,7 +105,7 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
     """
     if rule not in RULES:
         raise InvalidConfig(f"unknown cutoff rule {rule!r}; use one of {RULES}")
-    vals = np.asarray(values, dtype=float)
+    vals = _array(values, "cutoff values", float)
     if vals.ndim != 1:
         raise InvalidConfig("cutoff expects a one-dimensional value array")
     if not np.all(np.isfinite(vals)):

@@ -14,7 +14,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import InvalidCurve
+from .errors import FmuodError, InvalidCurve
 
 #: Maximum deviation between grid steps before a grid is rejected, relative to
 #: the grid's largest absolute point when that exceeds one.
@@ -31,9 +31,17 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _freeze(obj, name: str, dtype=None) -> np.ndarray:
+def _array(values, what: str, dtype=None, error: type[FmuodError] = InvalidCurve) -> np.ndarray:
+    """A copy of ``values`` as an array; input numpy cannot convert raises ``error``."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be a regular array of numbers ({exc})") from None
+
+
+def _freeze(obj, name: str, dtype=None, error: type[FmuodError] = InvalidCurve) -> np.ndarray:
     """Replace field ``name`` of the frozen ``obj`` by a read-only copy and return it."""
-    arr = np.array(getattr(obj, name), dtype=dtype)
+    arr = _array(getattr(obj, name), name, dtype, error)
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
@@ -169,7 +177,9 @@ class MultivariateFunctionalDataset:
         return self.values.shape[2]
 
     def margin(self, m: int) -> FunctionalDataset:
-        """The univariate dataset of component ``m``."""
+        """The univariate dataset of component ``m``, for ``0 <= m < n_dims``."""
+        if not _is_integer(m) or not 0 <= m < self.n_dims:
+            raise InvalidCurve(f"component must be an integer in [0, {self.n_dims}), got {m!r}")
         return FunctionalDataset(self.values[:, :, m], self.grid)
 
     @classmethod

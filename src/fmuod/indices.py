@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import FunctionalDataset, _array_eq, _freeze
+from .datasets import FunctionalDataset, _array, _array_eq, _freeze
 from .errors import DegenerateReference, InsufficientData, InvalidCurve
 
 #: Index table variants.  ``standard`` keeps the signed amplitude and
@@ -55,7 +55,7 @@ TYPE_ORDER = ("shape", "amplitude", "magnitude")
 
 def center_curve(values) -> np.ndarray:
     """Subtract the grid mean of ``values`` from every entry."""
-    vals = np.asarray(values, dtype=float)
+    vals = _array(values, "curve values", float)
     if vals.ndim != 1:
         raise InvalidCurve("expected a single curve (one-dimensional array)")
     if not np.all(np.isfinite(vals)):
@@ -203,7 +203,7 @@ def compute_index_table(
         If the reference curve is constant.
     """
     _check_variant(variant)
-    vals = np.array(ref, dtype=float)
+    vals = _array(ref, "reference values", float)
     if vals.ndim != 1:
         raise InvalidCurve("expected a single curve (one-dimensional array)")
     if vals.size != data.k:

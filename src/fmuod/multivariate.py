@@ -34,7 +34,7 @@ import numpy as np
 
 from .cutoffs import FlagSet, _fence_masks, rules_for
 from .datasets import FunctionalDataset, MultivariateFunctionalDataset
-from .datasets import _array_eq, _freeze, _is_integer, _is_real
+from .datasets import _array, _array_eq, _freeze, _is_integer, _is_real
 from .errors import DegenerateReference, InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
     LOCATION_MEDIAN,
@@ -183,7 +183,7 @@ class DirectionSet:
     __eq__ = _array_eq
 
     def __post_init__(self):
-        vecs = _freeze(self, "vectors", float)
+        vecs = _freeze(self, "vectors", float, InvalidDirection)
         if vecs.ndim != 2 or vecs.shape[0] < 1 or vecs.shape[1] < 1:
             raise InvalidDirection("directions must form a non-empty 2-d array")
         if not np.all(np.isfinite(vecs)):
@@ -239,7 +239,7 @@ def generate_directions(n_directions: int, n_dims: int, seed: int) -> DirectionS
 
 def project(data: MultivariateFunctionalDataset, direction) -> FunctionalDataset:
     """Pointwise projection of every curve onto one direction vector."""
-    vec = np.asarray(direction, dtype=float)
+    vec = _array(direction, "direction", float, InvalidDirection)
     if vec.ndim != 1 or vec.size != data.n_dims:
         raise InvalidDirection(
             f"direction must have {data.n_dims} components, got shape {vec.shape}"

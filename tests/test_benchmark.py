@@ -31,6 +31,7 @@ from fmuod.benchmark import (
     BenchmarkResult,
     SweepPoint,
     _rep_votes,
+    _repetitions,
     estimate_null_baselines,
     f1_score,
     format_result_table,
@@ -268,20 +269,38 @@ PROJECTION_METHODS = (METHOD_PROJECTION_ADAPTIVE, METHOD_PROJECTION_FIXED, METHO
 SIM = dict(model="M1", reps=3, n=40, k=20, contamination=0.1, seed=17)
 
 
-@pytest.fixture
-def vote_collections(monkeypatch):
-    """Empty the shared-votes cache and count the collect_votes calls after it."""
+def clear_memos():
+    _repetitions.cache_clear()
     _rep_votes.cache_clear()
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of ``fmuod.benchmark.<name>``, with their arguments."""
     calls = []
-    original = fmuod.benchmark.collect_votes
+    original = getattr(fmuod.benchmark, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(fmuod.benchmark, "collect_votes", counting)
-    yield calls
-    _rep_votes.cache_clear()
+    monkeypatch.setattr(fmuod.benchmark, name, counting)
+    return calls
+
+
+@pytest.fixture
+def vote_collections(monkeypatch):
+    """Empty both shared memos and count the collect_votes calls after it."""
+    clear_memos()
+    yield count_calls(monkeypatch, "collect_votes")
+    clear_memos()
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """Empty both shared memos and count the generate calls after it."""
+    clear_memos()
+    yield count_calls(monkeypatch, "generate")
+    clear_memos()
 
 
 def run_sim(method, sim=SIM, **config):
@@ -395,10 +414,9 @@ def test_shared_votes_are_read_only(vote_collections):
     entry = _rep_votes(SIM["model"], SIM["n"], SIM["k"], SIM["contamination"], SIM["seed"],
                        SIM["reps"], 12, "standard", "median")
     assert len(vote_collections) == SIM["reps"]
-    assert len(entry.votes) == len(entry.truths) == SIM["reps"]
-    for votes, truth in zip(entry.votes, entry.truths):
+    assert len(entry.votes) == SIM["reps"]
+    for votes in entry.votes:
         assert not votes.votes.flags.writeable
-        assert isinstance(truth, tuple)
         with pytest.raises(ValueError):
             votes.votes[0, 0, 0] = not votes.votes[0, 0, 0]
 
@@ -411,6 +429,106 @@ def test_reusing_call_is_charged_the_build_time(vote_collections):
     assert len(vote_collections) == SIM["reps"]
     assert entry.seconds > 0.0
     assert reused.runtime_seconds >= entry.seconds
+
+
+# ---------------------------------------------------------------------------
+# repetitions shared by all five methods
+
+
+def sim_args(sim=SIM):
+    return sim["model"], sim["n"], sim["k"], sim["contamination"], sim["seed"], sim["reps"]
+
+
+@pytest.mark.parametrize("order", [METHODS, METHODS[::-1]], ids=["forward", "reverse"])
+def test_five_methods_generate_each_rep_once(generations, order):
+    for method in order:
+        run_sim(method)
+    assert len(generations) == SIM["reps"]
+
+
+@pytest.mark.parametrize("order", [METHODS, METHODS[::-1]], ids=["forward", "reverse"])
+def test_rates_equal_with_cold_and_warm_repetitions(generations, order):
+    cold = {}
+    for method in order:
+        clear_memos()
+        cold[method] = rate_bytes(run_sim(method))
+    clear_memos()
+    warm = {method: rate_bytes(run_sim(method)) for method in order}
+    assert warm == cold
+    assert len(generations) == (len(order) + 1) * SIM["reps"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"model": "M2"},
+        {"n": 41},
+        {"k": 21},
+        {"contamination": 0.2},
+        {"seed": 18},
+        {"reps": 2},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_each_simulation_key_field_generates_again(generations, change):
+    run_sim(METHOD_MARGINAL)
+    del generations[:]
+    sim = {**SIM, **change}
+    res = run_sim(METHOD_STRINGING, sim)
+    assert len(generations) == sim["reps"] == res.reps
+
+
+@pytest.mark.parametrize(
+    "method, config",
+    [
+        (METHOD_PROJECTION_FIXED, {"n_directions": 13}),
+        (METHOD_PROJECTION_FIXED, {"variant": "original_absolute"}),
+        (METHOD_PROJECTION_FIXED, {"location": "mean"}),
+        (METHOD_STRINGING, {"scale": "minmax"}),
+        (METHOD_MARGINAL, {"report_scope": SCOPE_SHAPE}),
+    ],
+    ids=lambda value: next(iter(value)) if isinstance(value, dict) else value,
+)
+def test_method_fields_reuse_the_repetitions(generations, method, config):
+    run_sim(METHOD_PROJECTION_ADAPTIVE)
+    del generations[:]
+    run_sim(method, **config)
+    assert generations == []
+
+
+def test_shared_repetitions_keep_one_entry_and_are_read_only(generations):
+    other = {**SIM, "seed": 18}
+    for sim in (SIM, other, SIM):
+        run_sim(METHOD_MARGINAL, sim)
+    assert len(generations) == 3 * SIM["reps"]
+    assert _repetitions.cache_info().currsize == 1
+    entry = _repetitions(*sim_args())
+    assert len(generations) == 3 * SIM["reps"]
+    assert len(entry.datasets) == SIM["reps"]
+    for labeled in entry.datasets:
+        assert not labeled.data.values.flags.writeable
+        assert isinstance(labeled.outlier_indices, tuple)
+        with pytest.raises(ValueError):
+            labeled.data.values[0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            labeled.outlier_indices = ()
+
+
+def test_reusing_stringed_call_is_charged_the_generation_time(generations):
+    run_sim(METHOD_MARGINAL)
+    reused = run_sim(METHOD_STRINGING)
+    entry = _repetitions(*sim_args())
+    assert len(generations) == SIM["reps"]
+    assert entry.seconds > 0.0
+    assert reused.runtime_seconds >= entry.seconds
+
+
+def test_projection_call_is_charged_the_generation_and_vote_time(generations):
+    run_sim(METHOD_MARGINAL)
+    built = run_sim(METHOD_PROJECTION_ADAPTIVE)
+    votes = _rep_votes(*sim_args(), 12, "standard", "median")
+    assert built.runtime_seconds >= _repetitions(*sim_args()).seconds + votes.seconds
+    assert len(generations) == SIM["reps"]
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,11 @@ def test_boxplot_rejects_bad_config():
         boxplot_cutoff(np.zeros((2, 2)))
 
 
+def test_boxplot_rejects_non_numeric_values():
+    with pytest.raises(InvalidCurve, match="cutoff values must be a regular array of numbers"):
+        boxplot_cutoff(["a", "b", "c", "d"])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fences_reject_non_finite_values(bad):
     with pytest.raises(InvalidCurve, match="NaN or infinite"):

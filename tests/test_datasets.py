@@ -140,6 +140,36 @@ def test_multivariate_rejects_bad_shapes():
         MultivariateFunctionalDataset(np.zeros((2, 4, 0)), Grid.regular(4))
 
 
+@pytest.mark.parametrize("points", [["a", "b"], [object(), 1.0], [[0.0, 1.0], [2.0]]],
+                         ids=["strings", "objects", "ragged"])
+def test_grid_rejects_non_numeric_points(points):
+    with pytest.raises(InvalidCurve, match="points must be a regular array of numbers"):
+        Grid(points)
+
+
+def test_dataset_rejects_non_numeric_values():
+    with pytest.raises(InvalidCurve, match="values must be a regular array of numbers"):
+        FunctionalDataset([["a", "b"]], Grid.regular(2))
+
+
+def test_multivariate_rejects_non_numeric_values():
+    with pytest.raises(InvalidCurve, match="values must be a regular array of numbers"):
+        MultivariateFunctionalDataset([[["a"], ["b"]]], Grid.regular(2))
+
+
+@pytest.mark.parametrize("m", [3, -1, 1.0, True], ids=["past_end", "negative", "float", "bool"])
+def test_margin_rejects_a_component_outside_the_data(m):
+    data = MultivariateFunctionalDataset(np.zeros((10, 5, 3)), Grid.regular(5))
+    with pytest.raises(InvalidCurve, match=r"component must be an integer in \[0, 3\)"):
+        data.margin(m)
+
+
+def test_margin_accepts_numpy_integers():
+    values = np.arange(24.0).reshape(2, 4, 3)
+    data = MultivariateFunctionalDataset(values, Grid.regular(4))
+    np.testing.assert_array_equal(data.margin(np.int64(1)).values, values[:, :, 1])
+
+
 def test_from_univariate_round_trip():
     uni = FunctionalDataset(np.random.default_rng(0).normal(size=(5, 6)), Grid.regular(6))
     mv = MultivariateFunctionalDataset.from_univariate(uni)

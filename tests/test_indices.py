@@ -175,6 +175,17 @@ def test_center_curve():
         center_curve([0.0, np.inf])
 
 
+def test_center_curve_rejects_non_numeric_values():
+    with pytest.raises(InvalidCurve, match="curve values must be a regular array of numbers"):
+        center_curve(["a", "b"])
+
+
+def test_index_table_rejects_a_non_numeric_reference():
+    data = FunctionalDataset(np.zeros((3, 4)), Grid.regular(4))
+    with pytest.raises(InvalidCurve, match="reference values must be a regular array of numbers"):
+        compute_index_table(data, "abcd")
+
+
 # ---------------------------------------------------------------------------
 # reference estimation
 

@@ -111,6 +111,17 @@ def test_direction_set_requires_unit_norm():
         DirectionSet(np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("vectors", [[["x", "y"]], [[object(), 1.0]]], ids=["strings", "objects"])
+def test_direction_set_rejects_non_numeric_vectors(vectors):
+    with pytest.raises(InvalidDirection, match="vectors must be a regular array of numbers"):
+        DirectionSet(vectors)
+
+
+def test_project_rejects_a_non_numeric_direction():
+    with pytest.raises(InvalidDirection, match="direction must be a regular array of numbers"):
+        project(random_mv(0, d=2), ["a", "b"])
+
+
 def test_project_extracts_margins_with_axis_directions():
     data = random_mv(0, d=2)
     along_first = project(data, [1.0, 0.0])
