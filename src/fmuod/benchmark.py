@@ -4,15 +4,15 @@ A benchmark repeats ``generate -> detect -> score`` with per-repetition seeds
 derived from a master seed, then aggregates true- and false-positive rates
 (percentages) across repetitions.  Repetitions run one after another.
 
-Every method of one model reads the same repetitions, so each repetition is
-generated once (:func:`_repetitions`) and shared by all five methods; the
-memo holds one simulation, reps x n x k x d x 8 bytes.  The projection
-methods differ only in the thresholds they read off one vote matrix, so the
-votes of each repetition are collected once (:func:`_rep_votes`) and shared
-by the projection methods, the threshold sweep and the baseline estimate
-that ask for the same simulation.  A method's ``runtime_seconds`` includes
-the shared generation time, and for a projection method the vote time,
-whichever call paid for them.
+Every method of one model reads the same repetitions, so each simulation
+has one record (:func:`_simulation`, one held at a time): it generates each
+repetition once, reps x n x k x d x 8 bytes, and collects the votes of each
+projection setting (directions, variant, location) once, on first request.
+All five methods, the threshold sweep and the baseline estimate that ask
+for the same simulation read the one record.  A method's
+``runtime_seconds`` is the generation seconds, plus the vote seconds for a
+projection method, plus its own scoring time, whichever call built the
+shared work.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from .multivariate import (
     select_thresholds,
 )
 from .seeding import child_seed
-from .simulation import LabeledDataset, SimulationSpec, generate
+from .simulation import SimulationSpec, generate
 
 METHOD_MARGINAL = "FST_MAR"
 METHOD_STRINGING = "FST_STR"
@@ -217,74 +217,45 @@ def _sd(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.size > 1 else 0.0
 
 
-@dataclass(frozen=True)
-class _Repetitions:
-    """The generated datasets of every repetition of one simulation.
+class _Simulation:
+    """The repetitions of one simulation and the votes collected on them.
 
-    ``seconds`` is the time it took to generate them.
+    Repetition ``r`` generates with seed ``(seed, r, 0)`` and draws its
+    directions with seed ``(seed, r, 1)``.  ``seconds`` is the time the
+    repetitions took to generate.
     """
 
-    datasets: tuple[LabeledDataset, ...]
-    seconds: float
+    def __init__(self, model: str, n: int, k: int, contamination: float, seed: int, reps: int):
+        started = time.monotonic()
+        self.datasets = tuple(
+            generate(SimulationSpec(model, n, k, contamination, child_seed(seed, r, 0)))
+            for r in range(reps)
+        )
+        self.seconds = time.monotonic() - started
+        self._seed = seed
+        self._votes = {}
+
+    def votes(self, n_directions: int, variant: str, location: str):
+        """Each repetition's votes under one projection setting, and the seconds they took.
+
+        The votes are collected on the first request for the setting, then kept.
+        """
+        setting = (n_directions, variant, location)
+        if setting not in self._votes:
+            started = time.monotonic()
+            votes = []
+            for r, labeled in enumerate(self.datasets):
+                seed = child_seed(self._seed, r, 1)
+                directions = generate_directions(n_directions, labeled.data.n_dims, seed)
+                votes.append(collect_votes(labeled.data, directions, variant, location))
+            self._votes[setting] = tuple(votes), time.monotonic() - started
+        return self._votes[setting]
 
 
-@functools.lru_cache(maxsize=1)
-def _repetitions(
-    model: str, n: int, k: int, contamination: float, seed: int, reps: int
-) -> _Repetitions:
-    """Generate every repetition of one simulation.
-
-    Repetition ``r`` generates with seed ``(seed, r, 0)``.  One entry is
-    cached, as in :func:`_rep_votes`: ``fmuod benchmark`` runs every method
-    of a model before the next model, so all five methods share the entry.
-    """
-    started = time.monotonic()
-    datasets = tuple(
-        generate(SimulationSpec(model, n, k, contamination, child_seed(seed, r, 0)))
-        for r in range(reps)
-    )
-    return _Repetitions(datasets, time.monotonic() - started)
-
-
-@dataclass(frozen=True)
-class _RepVotes:
-    """Projection votes of each repetition of one simulation.
-
-    ``seconds`` is the time it took to collect them, without generating the
-    data.
-    """
-
-    votes: tuple[VoteMatrix, ...]
-    seconds: float
-
-
-@functools.lru_cache(maxsize=1)
-def _rep_votes(
-    model: str,
-    n: int,
-    k: int,
-    contamination: float,
-    seed: int,
-    reps: int,
-    n_directions: int,
-    variant: str,
-    location: str,
-) -> _RepVotes:
-    """Draw directions and collect the votes of every repetition.
-
-    The data come from :func:`_repetitions`; repetition ``r`` draws its
-    directions with seed ``(seed, r, 1)``.  One entry is cached: ``fmuod
-    benchmark`` runs every method of a model before the next model, so its
-    projection methods share the entry, and a larger cache would only pay
-    off for callers that repeat a seed.
-    """
-    generated = _repetitions(model, n, k, contamination, seed, reps)
-    started = time.monotonic()
-    votes = []
-    for r, labeled in enumerate(generated.datasets):
-        directions = generate_directions(n_directions, labeled.data.n_dims, child_seed(seed, r, 1))
-        votes.append(collect_votes(labeled.data, directions, variant, location))
-    return _RepVotes(tuple(votes), time.monotonic() - started)
+#: The record of one simulation, keyed on the arguments of :class:`_Simulation`.
+#: One is held: ``fmuod benchmark`` runs every method of a model before the
+#: next model, so all five methods read one record.
+_simulation = functools.lru_cache(maxsize=1)(_Simulation)
 
 
 def run_benchmark(
@@ -300,42 +271,36 @@ def run_benchmark(
 
     Repetition ``r`` generates with seed ``(seed, r, 0)`` and detects with
     direction seed ``(seed, r, 1)``, so its rates do not depend on how many
-    repetitions run.  The generated repetitions are reused when the previous
-    call asked for the same simulation, so every method of one model reads
-    the same data.  The projection methods read their flags off each
-    repetition's votes, which are likewise reused when the previous call
-    also asked for the same directions, variant and location.
-    ``runtime_seconds`` includes the time the data took to generate and, for
-    a projection method, the votes took to collect, whether this call built
-    them or reused them.
+    repetitions run.  The repetitions come from a record of the simulation
+    that is reused when the previous call asked for the same simulation, so
+    every method of one model reads the same data.  The projection methods
+    read their flags off each repetition's votes, which the record collects
+    once per number of directions, variant and location.
+    ``runtime_seconds`` is the sum of the time the data took to generate,
+    for a projection method the time the votes took to collect, whether
+    this call built them or reused them, and this call's own scoring time.
     """
     _check_count("reps", reps, "benchmark needs at least one repetition")
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
-
-    def score(flags: FlagSet, truth: tuple[int, ...]) -> tuple[float, float]:
-        return score_flags(scoped_flags(flags, config.report_scope), truth, n)
-
-    generated = _repetitions(model, n, k, contamination, seed, reps)
-    # Charge every method the build time of the data and votes it reads,
-    # whether it built or reused them.
+    simulation = _simulation(model, n, k, contamination, seed, reps)
     if config.method in (METHOD_MARGINAL, METHOD_STRINGING):
-        started = time.monotonic() - generated.seconds
-        pairs = [
-            score(run_method(labeled.data, config, child_seed(seed, r, 1)).flags,
-                  labeled.outlier_indices)
-            for r, labeled in enumerate(generated.datasets)
+        vote_seconds = 0.0
+        started = time.monotonic()
+        flags = [
+            run_method(labeled.data, config, child_seed(seed, r, 1)).flags
+            for r, labeled in enumerate(simulation.datasets)
         ]
     else:
-        shared = _rep_votes(
-            model, n, k, contamination, seed, reps,
-            config.n_directions, config.variant, config.location,
+        votes, vote_seconds = simulation.votes(
+            config.n_directions, config.variant, config.location
         )
-        started = time.monotonic() - generated.seconds - shared.seconds
+        started = time.monotonic()
         choose = _threshold_selector(config)
-        pairs = [
-            score(votes.flags_at(choose(votes)), labeled.outlier_indices)
-            for labeled, votes in zip(generated.datasets, shared.votes)
-        ]
+        flags = [rep_votes.flags_at(choose(rep_votes)) for rep_votes in votes]
+    pairs = [
+        score_flags(scoped_flags(rep_flags, config.report_scope), labeled.outlier_indices, n)
+        for rep_flags, labeled in zip(flags, simulation.datasets)
+    ]
     tpr = np.array([p[0] for p in pairs])
     fpr = np.array([p[1] for p in pairs])
     return BenchmarkResult(
@@ -348,7 +313,7 @@ def run_benchmark(
         seed=seed,
         tpr=tpr if has_truth else None,
         fpr=fpr,
-        runtime_seconds=time.monotonic() - started,
+        runtime_seconds=simulation.seconds + vote_seconds + (time.monotonic() - started),
     )
 
 
@@ -397,8 +362,8 @@ def threshold_sweep(
 ) -> list[SweepPoint]:
     """Score a grid of fixed vote-share triples on one model.
 
-    Votes are collected once per repetition, by the helper that collects
-    them for :func:`run_benchmark`'s projection methods (default variant and
+    Votes are collected once per repetition, by the simulation record that
+    :func:`run_benchmark`'s projection methods read (default variant and
     location), and rescored at every triple.  Models without outliers are
     scored by false-positive rate alone (``f1`` is None); otherwise each
     point carries per-repetition F1 scores.
@@ -412,17 +377,15 @@ def threshold_sweep(
     _check_count("n_directions", n_directions, "n_directions must be at least 1")
     _check_scope(report_scope)
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
-    generated = _repetitions(model, n, k, contamination, seed, reps)
-    shared = _rep_votes(
-        model, n, k, contamination, seed, reps, n_directions, VARIANT_STANDARD, LOCATION_MEDIAN
-    )
+    simulation = _simulation(model, n, k, contamination, seed, reps)
+    votes, _ = simulation.votes(n_directions, VARIANT_STANDARD, LOCATION_MEDIAN)
     f1 = np.empty((reps, len(shares_grid)))
     fpr = np.empty((reps, len(shares_grid)))
-    for r, (labeled, votes) in enumerate(zip(generated.datasets, shared.votes)):
+    for r, (labeled, rep_votes) in enumerate(zip(simulation.datasets, votes)):
         truth = labeled.outlier_indices
         truth_set = frozenset(truth)
         for s, shares in enumerate(shares_grid):
-            flagged = scoped_flags(votes.flags_at(shares), report_scope)
+            flagged = scoped_flags(rep_votes.flags_at(shares), report_scope)
             f1[r, s] = f1_score(flagged, truth_set)
             fpr[r, s] = score_flags(flagged, truth, n)[1]
     return [
@@ -442,18 +405,18 @@ def estimate_null_baselines(
 
     Repetition ``r`` draws M0 data with seed ``(seed, r, 0)`` and directions
     with seed ``(seed, r, 1)``; the votes are collected once per repetition
-    by the helper :func:`run_benchmark` uses, with contamination 0.
+    by the simulation record :func:`run_benchmark` reads, with contamination 0.
     """
     _check_count("reps", reps, "baseline estimation needs at least one repetition")
     _check_count("n_directions", n_directions, "n_directions must be at least 1")
-    shared = _rep_votes(
-        "M0", n, k, 0.0, seed, reps, n_directions, VARIANT_STANDARD, LOCATION_MEDIAN
+    votes, _ = _simulation("M0", n, k, 0.0, seed, reps).votes(
+        n_directions, VARIANT_STANDARD, LOCATION_MEDIAN
     )
     type_sums = np.zeros(len(TYPE_ORDER))
     union_sum = 0.0
-    for votes in shared.votes:
-        type_sums += np.asarray(votes.type_shares())
-        union_sum += votes.union_share()
+    for rep_votes in votes:
+        type_sums += np.asarray(rep_votes.type_shares())
+        union_sum += rep_votes.union_share()
     return Baselines(*(float(mean) for mean in type_sums / reps), union_sum / reps)
 
 

@@ -64,7 +64,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _out_dir(raw: str) -> Path:
     path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidConfig(f"cannot create output directory {raw!r} ({exc.strerror})") from exc
     return path
 
 

@@ -47,6 +47,12 @@ def _freeze(obj, name: str, dtype=None, error: type[FmuodError] = InvalidCurve) 
     return arr
 
 
+def _check_dataset(data, cls: type) -> None:
+    """Reject a ``data`` argument that is not a ``cls`` dataset."""
+    if not isinstance(data, cls):
+        raise InvalidCurve(f"expected a {cls.__name__}, got a {type(data).__name__}")
+
+
 def _array_eq(self, other):
     """``__eq__`` for a dataclass declared with ``eq=False`` that holds arrays.
 

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import FunctionalDataset, _array, _array_eq, _freeze
+from .datasets import FunctionalDataset, _array, _array_eq, _check_dataset, _freeze
 from .errors import DegenerateReference, InsufficientData, InvalidCurve
 
 #: Index table variants.  ``standard`` keeps the signed amplitude and
@@ -125,6 +125,7 @@ def reference_from_sample(data: FunctionalDataset, location: str = LOCATION_MEDI
     location : str
         ``"median"`` (default, robust) or ``"mean"``.
     """
+    _check_dataset(data, FunctionalDataset)
     return _references(data.values[None], location).values[0]
 
 
@@ -202,6 +203,7 @@ def compute_index_table(
     DegenerateReference
         If the reference curve is constant.
     """
+    _check_dataset(data, FunctionalDataset)
     _check_variant(variant)
     vals = _array(ref, "reference values", float)
     if vals.ndim != 1:

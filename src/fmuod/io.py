@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
+from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset, _check_dataset
 from .errors import InvalidConfig, ParseError
 from .indices import TYPE_ORDER
 from .multivariate import Baselines, OutlierReport
@@ -137,6 +137,7 @@ def read_wide_csv(path, delimiter: str = ",") -> FunctionalDataset:
 
 def write_wide_csv(data: FunctionalDataset, path) -> None:
     """Write one row of grid values per curve (no header)."""
+    _check_dataset(data, FunctionalDataset)
     _write_csv(path, (), data.values.tolist())
 
 
@@ -278,6 +279,7 @@ def _read_long_lines(path, delimiter: str) -> MultivariateFunctionalDataset:
 
 def write_long_csv(data: MultivariateFunctionalDataset, path) -> None:
     """Write the dataset as a complete 0-indexed lattice with a header."""
+    _check_dataset(data, MultivariateFunctionalDataset)
     # This writer and write_index_tables_csv build their rows as f-strings of
     # repr(float), which is format_float, rather than through _write_csv: for
     # a 30 000-row index table csv.writer took about 165 ms against 110 ms

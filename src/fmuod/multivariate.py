@@ -34,7 +34,7 @@ import numpy as np
 
 from .cutoffs import FlagSet, _fence_masks, rules_for
 from .datasets import FunctionalDataset, MultivariateFunctionalDataset
-from .datasets import _array, _array_eq, _freeze, _is_integer, _is_real
+from .datasets import _array, _array_eq, _check_dataset, _freeze, _is_integer, _is_real
 from .errors import DegenerateReference, InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
     LOCATION_MEDIAN,
@@ -99,11 +99,13 @@ class Baselines:
     @classmethod
     def from_dict(cls, mapping) -> "Baselines":
         try:
-            return cls(*(float(mapping[name]) for name in (*TYPE_ORDER, "union")))
+            rates = [mapping[name] for name in (*TYPE_ORDER, "union")]
         except KeyError as exc:
             raise InvalidConfig(f"baselines are missing the {exc.args[0]!r} rate") from exc
-        except (TypeError, ValueError) as exc:
-            raise InvalidConfig(f"baseline rates must be numbers ({exc})") from exc
+        for rate in rates:
+            if not _is_real(rate):
+                raise InvalidConfig(f"baseline rates must be numbers, got {rate!r}")
+        return cls(*(float(rate) for rate in rates))
 
 
 #: False-vote rates measured on the bundled outlier-free simulation model
@@ -239,6 +241,7 @@ def generate_directions(n_directions: int, n_dims: int, seed: int) -> DirectionS
 
 def project(data: MultivariateFunctionalDataset, direction) -> FunctionalDataset:
     """Pointwise projection of every curve onto one direction vector."""
+    _check_dataset(data, MultivariateFunctionalDataset)
     vec = _array(direction, "direction", float, InvalidDirection)
     if vec.ndim != 1 or vec.size != data.n_dims:
         raise InvalidDirection(
@@ -329,6 +332,7 @@ def detect_marginal(
     location: str = LOCATION_MEDIAN,
 ) -> OutlierReport:
     """Classify per component and join the flags of each type across components."""
+    _check_dataset(data, MultivariateFunctionalDataset)
     _check_variant(variant)
     # A contiguous copy: reductions on the strided view round differently.
     samples = np.ascontiguousarray(data.values.transpose(2, 0, 1))
@@ -371,6 +375,7 @@ def detect_stringed(
     [0, 1] by its pooled minimum and maximum over all curves and grid points;
     a zero-range component becomes identically zero.
     """
+    _check_dataset(data, MultivariateFunctionalDataset)
     _check_variant(variant)
     samples = _string_values(data, scale)[None]
     config = {"scale": scale, "variant": variant, "location": location}
@@ -453,6 +458,7 @@ def collect_votes(
 
 def _vote(data, directions, variant, location) -> tuple[VoteMatrix, list, list]:
     """:func:`collect_votes` plus the labels and ``(3, n)`` index columns of the kept projections."""
+    _check_dataset(data, MultivariateFunctionalDataset)
     _check_variant(variant)
     if directions.n_dims != data.n_dims:
         raise InvalidDirection(

@@ -30,8 +30,7 @@ from fmuod.benchmark import (
     SCOPE_UNION,
     BenchmarkResult,
     SweepPoint,
-    _rep_votes,
-    _repetitions,
+    _simulation,
     estimate_null_baselines,
     f1_score,
     format_result_table,
@@ -261,7 +260,7 @@ def test_benchmark_seeds_differ_between_reps():
 
 
 # ---------------------------------------------------------------------------
-# votes shared by the projection methods
+# the simulation record: votes shared by the projection methods
 
 PROJECTION_METHODS = (METHOD_PROJECTION_ADAPTIVE, METHOD_PROJECTION_FIXED, METHOD_PROJECTION_ANY)
 
@@ -269,9 +268,13 @@ PROJECTION_METHODS = (METHOD_PROJECTION_ADAPTIVE, METHOD_PROJECTION_FIXED, METHO
 SIM = dict(model="M1", reps=3, n=40, k=20, contamination=0.1, seed=17)
 
 
-def clear_memos():
-    _repetitions.cache_clear()
-    _rep_votes.cache_clear()
+def sim_args(sim=SIM):
+    """The key of the simulation record."""
+    return sim["model"], sim["n"], sim["k"], sim["contamination"], sim["seed"], sim["reps"]
+
+
+def clear_record():
+    _simulation.cache_clear()
 
 
 def count_calls(monkeypatch, name):
@@ -289,18 +292,18 @@ def count_calls(monkeypatch, name):
 
 @pytest.fixture
 def vote_collections(monkeypatch):
-    """Empty both shared memos and count the collect_votes calls after it."""
-    clear_memos()
+    """Drop the simulation record and count the collect_votes calls after it."""
+    clear_record()
     yield count_calls(monkeypatch, "collect_votes")
-    clear_memos()
+    clear_record()
 
 
 @pytest.fixture
 def generations(monkeypatch):
-    """Empty both shared memos and count the generate calls after it."""
-    clear_memos()
+    """Drop the simulation record and count the generate calls after it."""
+    clear_record()
     yield count_calls(monkeypatch, "generate")
-    clear_memos()
+    clear_record()
 
 
 def run_sim(method, sim=SIM, **config):
@@ -320,11 +323,12 @@ def rate_bytes(res):
 def test_projection_rates_equal_with_cold_and_warm_votes(vote_collections, order):
     cold = {}
     for method in order:
-        _rep_votes.cache_clear()
+        clear_record()
         cold[method] = rate_bytes(run_sim(method))
-    _rep_votes.cache_clear()
+    clear_record()
     warm = {method: rate_bytes(run_sim(method)) for method in order}
     assert warm == cold
+    assert len(vote_collections) == (len(order) + 1) * SIM["reps"]
 
 
 def test_projection_methods_collect_votes_once_per_rep(vote_collections):
@@ -388,7 +392,13 @@ def test_shared_votes_keep_one_entry(vote_collections):
     for sim in (SIM, other, SIM):
         run_sim(METHOD_PROJECTION_FIXED, sim)
     assert len(vote_collections) == 3 * SIM["reps"]
-    assert _rep_votes.cache_info().currsize == 1
+    assert _simulation.cache_info().currsize == 1
+
+
+def test_a_projection_setting_used_before_reuses_its_votes(vote_collections):
+    for n_directions in (12, 13, 12):
+        run_sim(METHOD_PROJECTION_FIXED, n_directions=n_directions)
+    assert len(vote_collections) == 2 * SIM["reps"]
 
 
 def test_sweep_and_fixed_benchmark_share_the_votes(vote_collections):
@@ -411,11 +421,10 @@ def test_sweep_rejects_an_unknown_scope_before_collecting_votes(vote_collections
 
 def test_shared_votes_are_read_only(vote_collections):
     run_sim(METHOD_PROJECTION_FIXED)
-    entry = _rep_votes(SIM["model"], SIM["n"], SIM["k"], SIM["contamination"], SIM["seed"],
-                       SIM["reps"], 12, "standard", "median")
+    shared, _ = _simulation(*sim_args()).votes(12, "standard", "median")
     assert len(vote_collections) == SIM["reps"]
-    assert len(entry.votes) == SIM["reps"]
-    for votes in entry.votes:
+    assert isinstance(shared, tuple) and len(shared) == SIM["reps"]
+    for votes in shared:
         assert not votes.votes.flags.writeable
         with pytest.raises(ValueError):
             votes.votes[0, 0, 0] = not votes.votes[0, 0, 0]
@@ -424,35 +433,31 @@ def test_shared_votes_are_read_only(vote_collections):
 def test_reusing_call_is_charged_the_build_time(vote_collections):
     run_sim(METHOD_PROJECTION_ADAPTIVE)
     reused = run_sim(METHOD_PROJECTION_ANY)
-    entry = _rep_votes(SIM["model"], SIM["n"], SIM["k"], SIM["contamination"], SIM["seed"],
-                       SIM["reps"], 12, "standard", "median")
+    record = _simulation(*sim_args())
+    _, vote_seconds = record.votes(12, "standard", "median")
     assert len(vote_collections) == SIM["reps"]
-    assert entry.seconds > 0.0
-    assert reused.runtime_seconds >= entry.seconds
+    assert vote_seconds > 0.0
+    assert reused.runtime_seconds >= record.seconds + vote_seconds
 
 
 # ---------------------------------------------------------------------------
 # repetitions shared by all five methods
 
 
-def sim_args(sim=SIM):
-    return sim["model"], sim["n"], sim["k"], sim["contamination"], sim["seed"], sim["reps"]
-
-
 @pytest.mark.parametrize("order", [METHODS, METHODS[::-1]], ids=["forward", "reverse"])
-def test_five_methods_generate_each_rep_once(generations, order):
+def test_five_methods_generate_each_rep_once(generations, vote_collections, order):
     for method in order:
         run_sim(method)
-    assert len(generations) == SIM["reps"]
+    assert len(generations) == len(vote_collections) == SIM["reps"]
 
 
 @pytest.mark.parametrize("order", [METHODS, METHODS[::-1]], ids=["forward", "reverse"])
 def test_rates_equal_with_cold_and_warm_repetitions(generations, order):
     cold = {}
     for method in order:
-        clear_memos()
+        clear_record()
         cold[method] = rate_bytes(run_sim(method))
-    clear_memos()
+    clear_record()
     warm = {method: rate_bytes(run_sim(method)) for method in order}
     assert warm == cold
     assert len(generations) == (len(order) + 1) * SIM["reps"]
@@ -501,8 +506,8 @@ def test_shared_repetitions_keep_one_entry_and_are_read_only(generations):
     for sim in (SIM, other, SIM):
         run_sim(METHOD_MARGINAL, sim)
     assert len(generations) == 3 * SIM["reps"]
-    assert _repetitions.cache_info().currsize == 1
-    entry = _repetitions(*sim_args())
+    assert _simulation.cache_info().currsize == 1
+    entry = _simulation(*sim_args())
     assert len(generations) == 3 * SIM["reps"]
     assert len(entry.datasets) == SIM["reps"]
     for labeled in entry.datasets:
@@ -517,7 +522,7 @@ def test_shared_repetitions_keep_one_entry_and_are_read_only(generations):
 def test_reusing_stringed_call_is_charged_the_generation_time(generations):
     run_sim(METHOD_MARGINAL)
     reused = run_sim(METHOD_STRINGING)
-    entry = _repetitions(*sim_args())
+    entry = _simulation(*sim_args())
     assert len(generations) == SIM["reps"]
     assert entry.seconds > 0.0
     assert reused.runtime_seconds >= entry.seconds
@@ -526,8 +531,9 @@ def test_reusing_stringed_call_is_charged_the_generation_time(generations):
 def test_projection_call_is_charged_the_generation_and_vote_time(generations):
     run_sim(METHOD_MARGINAL)
     built = run_sim(METHOD_PROJECTION_ADAPTIVE)
-    votes = _rep_votes(*sim_args(), 12, "standard", "median")
-    assert built.runtime_seconds >= _repetitions(*sim_args()).seconds + votes.seconds
+    record = _simulation(*sim_args())
+    _, vote_seconds = record.votes(12, "standard", "median")
+    assert built.runtime_seconds >= record.seconds + vote_seconds
     assert len(generations) == SIM["reps"]
 
 

@@ -544,6 +544,22 @@ def test_detect_rejects_delimiter_that_is_not_one_character(tmp_path, capsys, de
     assert "delimiter must be a single character" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "detect"])
+def test_unusable_output_directory_exits_config(tmp_path, capsys, command):
+    sim = simulate_into(tmp_path)
+    existing_file = tmp_path / "file"
+    existing_file.write_text("")
+    if command == "simulate":
+        args = ["--model", "M1", "--n", "20", "--k", "10", "--out", str(existing_file)]
+    else:
+        args = [
+            "--input", str(sim / "data.csv"), "--layout", "long_multivariate",
+            "--method", "FST_MAR", "--out", str(existing_file / "sub"),
+        ]
+    assert run(command, *args) == EXIT_CONFIG
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rate", ["abc", None], ids=["text", "null"])
 @pytest.mark.parametrize("command", ["detect", "benchmark"])
 def test_non_numeric_baseline_rate_exits_config(tmp_path, capsys, command, rate):

@@ -8,8 +8,20 @@ from fmuod import (
     MultivariateFunctionalDataset,
 )
 from fmuod.cutoffs import FlagSet
-from fmuod.indices import IndexTable
-from fmuod.multivariate import DirectionSet, OutlierReport, VoteMatrix
+from fmuod.indices import IndexTable, compute_index_table, reference_from_sample
+from fmuod.io import write_long_csv, write_wide_csv
+from fmuod.multivariate import (
+    DirectionSet,
+    OutlierReport,
+    VoteMatrix,
+    collect_votes,
+    detect_marginal,
+    detect_projection,
+    detect_stringed,
+    generate_directions,
+    project,
+)
+from fmuod.simulation import SimulationSpec, generate
 
 
 def test_regular_grid_basic():
@@ -247,3 +259,36 @@ def test_report_without_proportions_compares_by_value():
     assert _report(None) == _report(None)
     assert _report(None) != _report(np.zeros((2, 3)))
     assert _report(np.zeros((2, 3))) != _report(None)
+
+
+#: Calls that take a dataset of one kind, each given a dataset and an output path.
+WRONG_KIND_CALLS = {
+    "reference_from_sample": (FunctionalDataset, lambda data, path: reference_from_sample(data)),
+    "compute_index_table": (
+        FunctionalDataset, lambda data, path: compute_index_table(data, np.arange(10.0))
+    ),
+    "write_wide_csv": (FunctionalDataset, write_wide_csv),
+    "detect_marginal": (MultivariateFunctionalDataset, lambda data, path: detect_marginal(data)),
+    "detect_stringed": (MultivariateFunctionalDataset, lambda data, path: detect_stringed(data)),
+    "collect_votes": (
+        MultivariateFunctionalDataset,
+        lambda data, path: collect_votes(data, generate_directions(4, 3, seed=0)),
+    ),
+    "detect_projection": (
+        MultivariateFunctionalDataset,
+        lambda data, path: detect_projection(data, generate_directions(4, 3, seed=0)),
+    ),
+    "project": (MultivariateFunctionalDataset, lambda data, path: project(data, [1.0, 0.0, 0.0])),
+    "write_long_csv": (MultivariateFunctionalDataset, write_long_csv),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_KIND_CALLS)
+def test_a_dataset_of_the_wrong_kind_is_rejected(tmp_path, name):
+    needed, call = WRONG_KIND_CALLS[name]
+    multivariate = generate(SimulationSpec("M1", 20, 10, 0.1, 1)).data
+    wrong = multivariate.margin(0) if needed is MultivariateFunctionalDataset else multivariate
+    path = tmp_path / "out.csv"
+    with pytest.raises(InvalidCurve, match=f"expected a {needed.__name__}, got a "):
+        call(wrong, path)
+    assert not path.exists()

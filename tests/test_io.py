@@ -497,7 +497,10 @@ def test_baselines_missing_rate_is_config_error(tmp_path):
         read_baselines(path)
 
 
-@pytest.mark.parametrize("rate", ["abc", None, [0.1]], ids=["text", "null", "list"])
+@pytest.mark.parametrize(
+    "rate", ["abc", None, [0.1], False, "0.05", " 0.05 "],
+    ids=["text", "null", "list", "false", "numeric_text", "padded_text"],
+)
 def test_baselines_non_numeric_rate_is_config_error(tmp_path, rate):
     path = tmp_path / "baselines.json"
     path.write_text(
