@@ -2,14 +2,15 @@
 
 A benchmark repeats ``generate -> detect -> score`` with per-repetition seeds
 derived from a master seed, then aggregates true- and false-positive rates
-(percentages) across repetitions.  Repetitions run one after another.
+(percentages) and F1 scores across repetitions.  Repetitions run one after
+another.  A threshold sweep is FST_PRJ1's benchmark at each triple of a grid.
 
 Every method of one model reads the same repetitions, so each simulation
 has one record (:func:`_simulation`, one held at a time): it generates each
 repetition once, reps x n x k x d x 8 bytes, and collects the votes of each
 projection setting (directions, variant, location) once, on first request.
-All five methods, the threshold sweep and the baseline estimate that ask
-for the same simulation read the one record.  A method's
+All five methods, every triple of the threshold sweep and the baseline
+estimate that ask for the same simulation read the one record.  A method's
 ``runtime_seconds`` is the generation seconds, plus the vote seconds for a
 projection method, plus its own scoring time, whichever call built the
 shared work.
@@ -17,6 +18,7 @@ shared work.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -170,8 +172,9 @@ def f1_score(flagged: frozenset[int], truth: frozenset[int]) -> float:
 class BenchmarkResult:
     """Per-repetition detection rates of one model/method pair.
 
-    Equality ignores ``runtime_seconds``, so two runs of one seeded benchmark
-    compare equal.
+    ``tpr`` and ``fpr`` are percentages and ``f1`` is in [0, 1]; ``tpr`` and
+    ``f1`` are None for a model without outliers.  Equality ignores
+    ``runtime_seconds``, so two runs of one seeded benchmark compare equal.
     """
 
     model: str
@@ -183,14 +186,16 @@ class BenchmarkResult:
     seed: int
     tpr: np.ndarray | None
     fpr: np.ndarray
+    f1: np.ndarray | None
     runtime_seconds: float = field(default=0.0, compare=False)
 
     __eq__ = _array_eq
 
     def __post_init__(self):
         _freeze(self, "fpr", float)
-        if self.tpr is not None:
-            _freeze(self, "tpr", float)
+        for name in ("tpr", "f1"):
+            if getattr(self, name) is not None:
+                _freeze(self, name, float)
 
     @property
     def reps(self) -> int:
@@ -211,6 +216,14 @@ class BenchmarkResult:
     @property
     def fpr_sd(self) -> float:
         return _sd(self.fpr)
+
+    @property
+    def f1_mean(self) -> float:
+        return float("nan") if self.f1 is None else float(self.f1.mean())
+
+    @property
+    def f1_sd(self) -> float:
+        return float("nan") if self.f1 is None else _sd(self.f1)
 
 
 def _sd(values: np.ndarray) -> float:
@@ -267,7 +280,7 @@ def run_benchmark(
     contamination: float = 0.1,
     seed: int = 0,
 ) -> BenchmarkResult:
-    """Repeat generate/detect/score and collect the rates.
+    """Repeat generate/detect/score and collect the rates and F1 scores.
 
     Repetition ``r`` generates with seed ``(seed, r, 0)`` and detects with
     direction seed ``(seed, r, 1)``, so its rates do not depend on how many
@@ -297,12 +310,12 @@ def run_benchmark(
         started = time.monotonic()
         choose = _threshold_selector(config)
         flags = [rep_votes.flags_at(choose(rep_votes)) for rep_votes in votes]
-    pairs = [
-        score_flags(scoped_flags(rep_flags, config.report_scope), labeled.outlier_indices, n)
-        for rep_flags, labeled in zip(flags, simulation.datasets)
-    ]
-    tpr = np.array([p[0] for p in pairs])
-    fpr = np.array([p[1] for p in pairs])
+    scores = []
+    for rep_flags, labeled in zip(flags, simulation.datasets):
+        flagged = scoped_flags(rep_flags, config.report_scope)
+        truth = labeled.outlier_indices
+        scores.append((*score_flags(flagged, truth, n), f1_score(flagged, frozenset(truth))))
+    tpr, fpr, f1 = np.array(scores).T
     return BenchmarkResult(
         model=model,
         method=config.method,
@@ -313,40 +326,9 @@ def run_benchmark(
         seed=seed,
         tpr=tpr if has_truth else None,
         fpr=fpr,
+        f1=f1 if has_truth else None,
         runtime_seconds=simulation.seconds + vote_seconds + (time.monotonic() - started),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class SweepPoint:
-    """Score of one vote-share triple in a threshold sweep."""
-
-    shares: ThresholdTriple
-    f1: np.ndarray | None
-    fpr: np.ndarray
-
-    __eq__ = _array_eq
-
-    def __post_init__(self):
-        _freeze(self, "fpr", float)
-        if self.f1 is not None:
-            _freeze(self, "f1", float)
-
-    @property
-    def f1_mean(self) -> float:
-        return float("nan") if self.f1 is None else float(self.f1.mean())
-
-    @property
-    def f1_sd(self) -> float:
-        return float("nan") if self.f1 is None else _sd(self.f1)
-
-    @property
-    def fpr_mean(self) -> float:
-        return float(self.fpr.mean())
-
-    @property
-    def fpr_sd(self) -> float:
-        return _sd(self.fpr)
 
 
 def threshold_sweep(
@@ -359,39 +341,26 @@ def threshold_sweep(
     seed: int = 0,
     n_directions: int = DEFAULT_N_DIRECTIONS,
     report_scope: str = SCOPE_UNION,
-) -> list[SweepPoint]:
-    """Score a grid of fixed vote-share triples on one model.
+) -> list[BenchmarkResult]:
+    """FST_PRJ1's :func:`run_benchmark` result at each vote-share triple of a grid.
 
-    Votes are collected once per repetition, by the simulation record that
-    :func:`run_benchmark`'s projection methods read (default variant and
-    location), and rescored at every triple.  Models without outliers are
-    scored by false-positive rate alone (``f1`` is None); otherwise each
-    point carries per-repetition F1 scores.
+    Result ``i`` scores ``shares_grid[i]`` and carries its per-repetition
+    ``tpr``, ``fpr`` and ``f1``, so triples can be compared at a matched
+    false-positive rate.  Every triple reads the votes of one simulation
+    record (default variant and location), so the votes are collected once
+    per repetition and rescored at every triple.  Each triple's config is
+    checked before any vote is collected.
     """
     shares_grid = list(shares_grid)
     if not shares_grid:
         raise InvalidConfig("sweep needs at least one vote-share triple")
     for s, shares in enumerate(shares_grid):
         _check_instance(f"shares_grid[{s}]", shares, ThresholdTriple)
-    _check_count("reps", reps, "sweep needs at least one repetition")
-    _check_count("n_directions", n_directions, "n_directions must be at least 1")
-    _check_scope(report_scope)
-    has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
-    simulation = _simulation(model, n, k, contamination, seed, reps)
-    votes, _ = simulation.votes(n_directions, VARIANT_STANDARD, LOCATION_MEDIAN)
-    f1 = np.empty((reps, len(shares_grid)))
-    fpr = np.empty((reps, len(shares_grid)))
-    for r, (labeled, rep_votes) in enumerate(zip(simulation.datasets, votes)):
-        truth = labeled.outlier_indices
-        truth_set = frozenset(truth)
-        for s, shares in enumerate(shares_grid):
-            flagged = scoped_flags(rep_votes.flags_at(shares), report_scope)
-            f1[r, s] = f1_score(flagged, truth_set)
-            fpr[r, s] = score_flags(flagged, truth, n)[1]
-    return [
-        SweepPoint(shares, f1[:, s] if has_truth else None, fpr[:, s])
-        for s, shares in enumerate(shares_grid)
+    configs = [
+        MethodConfig(METHOD_PROJECTION_FIXED, report_scope, n_directions, vote_shares=shares)
+        for shares in shares_grid
     ]
+    return [run_benchmark(model, config, reps, n, k, contamination, seed) for config in configs]
 
 
 def estimate_null_baselines(
@@ -420,20 +389,24 @@ def estimate_null_baselines(
     return Baselines(*(float(mean) for mean in type_sums / reps), union_sum / reps)
 
 
+def format_mean_sd(mean: float, sd: float, digits: int = 1) -> str:
+    """``mean (sd)`` to ``digits`` decimals, or ``-`` when the mean is undefined (NaN)."""
+    return "-" if math.isnan(mean) else f"{mean:.{digits}f} ({sd:.{digits}f})"
+
+
 def format_result_table(results) -> str:
     """Aligned text table of benchmark results."""
     header = ("model", "method", "scope", "reps", "tpr", "fpr", "seconds")
     rows = [header]
     for res in results:
-        tpr = "-" if res.tpr is None else f"{res.tpr_mean:.1f} ({res.tpr_sd:.1f})"
         rows.append(
             (
                 res.model,
                 res.method,
                 res.report_scope,
                 str(res.reps),
-                tpr,
-                f"{res.fpr_mean:.1f} ({res.fpr_sd:.1f})",
+                format_mean_sd(res.tpr_mean, res.tpr_sd),
+                format_mean_sd(res.fpr_mean, res.fpr_sd),
                 f"{res.runtime_seconds:.2f}",
             )
         )

@@ -208,7 +208,7 @@ def cmd_benchmark(args) -> int:
 
 def cmd_sweep(args) -> int:
     shares = _parse_share_grid(args.shares)
-    points = bench.threshold_sweep(
+    results = bench.threshold_sweep(
         args.model,
         shares,
         args.reps,
@@ -220,13 +220,12 @@ def cmd_sweep(args) -> int:
         args.scope,
     )
     out = _out_dir(args.out)
-    fio.write_sweep_csv(points, out / "sweep.csv")
-    header = f"{'shares':>18}  {'f1':>12}  {'fpr':>12}"
-    print(header)
-    for point in points:
-        label = ":".join(f"{share:g}" for share in point.shares.by_type())
-        f1 = "-" if point.f1 is None else f"{point.f1_mean:.3f} ({point.f1_sd:.3f})"
-        print(f"{label:>18}  {f1:>12}  {point.fpr_mean:5.1f} ({point.fpr_sd:.1f})")
+    fio.write_sweep_csv(shares, results, out / "sweep.csv")
+    print(f"{'shares':>18}  {'f1':>12}  {'fpr':>12}")
+    for triple, res in zip(shares, results):
+        label = ":".join(f"{share:g}" for share in triple.by_type())
+        f1 = bench.format_mean_sd(res.f1_mean, res.f1_sd, digits=3)
+        print(f"{label:>18}  {f1:>12}  {bench.format_mean_sd(res.fpr_mean, res.fpr_sd):>12}")
     print(f"wrote {out / 'sweep.csv'}")
     return 0
 

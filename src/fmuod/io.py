@@ -3,7 +3,8 @@
 Every file is written under one set of rules, so written files re-ingest
 exactly and identical runs produce byte-identical files.  CSV files are UTF-8
 with ``\r\n`` line ends; a float cell holds the shortest decimal that
-round-trips to the same binary value and a missing value is an empty cell.
+round-trips to the same binary value and a missing or undefined (NaN) value
+is an empty cell.
 JSON files are UTF-8, indented by two spaces, with sorted keys, no NaN or
 infinity, and a trailing newline.
 """
@@ -51,13 +52,17 @@ def _csv_file(path, header):
 def _write_csv(path, header, rows) -> None:
     """Write ``rows`` under ``header``.
 
-    Floats go through :func:`format_float`; ``csv`` writes ``None`` as an
-    empty cell and any other value as ``str(value)``.
+    Floats go through :func:`format_float`, NaN as ``None``; ``csv`` writes
+    ``None`` as an empty cell and any other value as ``str(value)``.
     """
     with _csv_file(path, header) as fh:
         csv.writer(fh).writerows(
-            [format_float(v) if isinstance(v, float) else v for v in row] for row in rows
+            [_float_cell(v) if isinstance(v, float) else v for v in row] for row in rows
         )
+
+
+def _float_cell(value: float) -> str | None:
+    return None if math.isnan(value) else format_float(value)
 
 
 def _write_json(path, payload) -> None:
@@ -406,8 +411,7 @@ def write_benchmark_summary_csv(results, path) -> None:
     )
     rows = (
         (res.model, res.method, res.report_scope, res.reps, res.n, res.k, float(res.contamination),
-         res.seed, *((None, None) if res.tpr is None else (res.tpr_mean, res.tpr_sd)),
-         res.fpr_mean, res.fpr_sd)
+         res.seed, res.tpr_mean, res.tpr_sd, res.fpr_mean, res.fpr_sd)
         for res in results
     )
     _write_csv(path, header, rows)
@@ -423,12 +427,11 @@ def write_benchmark_reps_csv(results, path) -> None:
     _write_csv(path, ("model", "method", "scope", "rep", "tpr", "fpr"), rows)
 
 
-def write_sweep_csv(points, path) -> None:
+def write_sweep_csv(shares_grid, results, path) -> None:
+    """One row per vote-share triple and its :func:`~fmuod.benchmark.threshold_sweep` result."""
     header = (*(f"share_{name}" for name in TYPE_ORDER), "f1_mean", "f1_sd", "fpr_mean", "fpr_sd")
     rows = (
-        (*map(float, point.shares.by_type()),
-         *((None, None) if point.f1 is None else (point.f1_mean, point.f1_sd)),
-         point.fpr_mean, point.fpr_sd)
-        for point in points
+        (*map(float, shares.by_type()), res.f1_mean, res.f1_sd, res.fpr_mean, res.fpr_sd)
+        for shares, res in zip(shares_grid, results, strict=True)
     )
     _write_csv(path, header, rows)

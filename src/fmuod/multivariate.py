@@ -26,7 +26,6 @@ or ``gamma_T`` when ``delta_C <= 0`` or the ratio is negative.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -74,7 +73,7 @@ class Baselines:
 
     ``shape``, ``amplitude`` and ``magnitude`` are the per-projection rates of
     votes of each type; ``union`` is the rate of curves receiving a vote of
-    any type.
+    any type.  The rates are held as floats.
     """
 
     shape: float
@@ -83,11 +82,15 @@ class Baselines:
     union: float
 
     def __post_init__(self):
-        for value in (self.shape, self.amplitude, self.magnitude, self.union):
+        for name in ("shape", "amplitude", "magnitude", "union"):
+            value = getattr(self, name)
             if not _is_real(value):
                 raise InvalidConfig(f"baseline rates must be numbers, got {value!r}")
-            if not (math.isfinite(value) and 0.0 <= value < 1.0):
+            # The range test comes first: NaN fails it, and an integer too
+            # large for a float fails it before float() could overflow.
+            if not 0.0 <= value < 1.0:
                 raise InvalidConfig("baseline rates must lie in [0, 1)")
+            object.__setattr__(self, name, float(value))
 
     def by_type(self) -> tuple[float, float, float]:
         """The per-type rates in :data:`~fmuod.indices.TYPE_ORDER`."""
@@ -102,10 +105,7 @@ class Baselines:
             rates = [mapping[name] for name in (*TYPE_ORDER, "union")]
         except KeyError as exc:
             raise InvalidConfig(f"baselines are missing the {exc.args[0]!r} rate") from exc
-        for rate in rates:
-            if not _is_real(rate):
-                raise InvalidConfig(f"baseline rates must be numbers, got {rate!r}")
-        return cls(*(float(rate) for rate in rates))
+        return cls(*rates)
 
 
 #: False-vote rates measured on the bundled outlier-free simulation model
@@ -127,7 +127,7 @@ class ThresholdTriple:
         for value in self.by_type():
             if not _is_real(value):
                 raise InvalidConfig(f"vote-share thresholds must be numbers, got {value!r}")
-            if not (math.isfinite(value) and 0.0 < value <= 1.0):
+            if not 0.0 < value <= 1.0:
                 raise InvalidConfig("vote-share thresholds must lie in (0, 1]")
 
     def by_type(self) -> tuple[float, float, float]:

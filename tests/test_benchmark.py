@@ -29,7 +29,6 @@ from fmuod.benchmark import (
     SCOPE_SHAPE,
     SCOPE_UNION,
     BenchmarkResult,
-    SweepPoint,
     _simulation,
     estimate_null_baselines,
     f1_score,
@@ -40,6 +39,7 @@ from fmuod.benchmark import (
 from fmuod.multivariate import ANY_VOTE_THRESHOLDS, Baselines, DirectionSet
 from fmuod.cutoffs import FlagSet
 from fmuod.indices import IndexTable
+from fmuod.seeding import child_seed
 from fmuod.simulation import SimulationSpec, generate
 
 
@@ -207,8 +207,8 @@ def test_run_benchmark_rejects_a_seed_that_is_not_an_integer(seed):
 def test_run_benchmark_null_model_has_no_tpr():
     config = MethodConfig(method="FST_MAR")
     res = run_benchmark("M0", config, reps=3, n=30, k=15, seed=1)
-    assert res.tpr is None
-    assert math.isnan(res.tpr_mean)
+    assert res.tpr is None and res.f1 is None
+    assert math.isnan(res.tpr_mean) and math.isnan(res.f1_mean) and math.isnan(res.f1_sd)
     assert res.fpr.shape == (3,)
     assert res.fpr_mean >= 0.0
 
@@ -218,6 +218,8 @@ def test_run_benchmark_statistics():
     res = run_benchmark("M1", config, reps=5, n=40, k=20, seed=3)
     assert res.tpr_mean == pytest.approx(float(res.tpr.mean()))
     assert res.tpr_sd == pytest.approx(float(res.tpr.std(ddof=1)))
+    assert res.f1_mean == pytest.approx(float(res.f1.mean()))
+    assert res.f1_sd == pytest.approx(float(res.f1.std(ddof=1)))
     assert res.runtime_seconds > 0.0
     with pytest.raises(InvalidConfig):
         run_benchmark("M1", config, reps=0)
@@ -226,16 +228,18 @@ def test_run_benchmark_statistics():
 def bench_result(**change):
     fields = dict(
         model="M1", method="FST_MAR", report_scope="union", n=40, k=20, contamination=0.1,
-        seed=3, tpr=np.array([100.0, 50.0]), fpr=np.array([2.5, 0.0]),
+        seed=3, tpr=np.array([100.0, 50.0]), fpr=np.array([2.5, 0.0]), f1=np.array([0.8, 0.5]),
     )
     return BenchmarkResult(**{**fields, **change})
 
 
 def test_benchmark_results_compare_by_value():
     assert bench_result() == bench_result(runtime_seconds=1.5)
-    assert bench_result(tpr=None) == bench_result(tpr=None)
+    assert bench_result(tpr=None, f1=None) == bench_result(tpr=None, f1=None)
     assert bench_result() != bench_result(fpr=np.array([2.5, 1.0]))
+    assert bench_result() != bench_result(f1=np.array([0.8, 0.4]))
     assert bench_result() != bench_result(tpr=None)
+    assert bench_result() != bench_result(f1=None)
     assert bench_result() != bench_result(seed=4)
     config = MethodConfig(method="FST_PRJ1", n_directions=12)
     runs = [run_benchmark("M1", config, reps=2, n=40, k=20, seed=17) for _ in range(2)]
@@ -243,11 +247,11 @@ def test_benchmark_results_compare_by_value():
 
 
 def test_benchmark_results_hold_read_only_copies():
-    tpr, fpr = np.array([100.0, 50.0]), np.array([2.5, 0.0])
-    res = bench_result(tpr=tpr, fpr=fpr)
-    tpr[0] = fpr[0] = -1.0
-    assert (res.tpr[0], res.fpr[0]) == (100.0, 2.5)
-    for rates in (res.tpr, res.fpr):
+    tpr, fpr, f1 = np.array([100.0, 50.0]), np.array([2.5, 0.0]), np.array([0.8, 0.5])
+    res = bench_result(tpr=tpr, fpr=fpr, f1=f1)
+    tpr[0] = fpr[0] = f1[0] = -1.0
+    assert (res.tpr[0], res.fpr[0], res.f1[0]) == (100.0, 2.5, 0.8)
+    for rates in (res.tpr, res.fpr, res.f1):
         with pytest.raises(ValueError):
             rates[0] = 0.0
 
@@ -542,25 +546,39 @@ def test_projection_call_is_charged_the_generation_and_vote_time(generations):
 
 
 def test_threshold_sweep_matches_fixed_benchmark():
-    shares = ThresholdTriple(0.4, 0.3, 0.3)
-    points = threshold_sweep("M1", [shares], reps=3, n=40, k=20, seed=29, n_directions=12)
-    assert len(points) == 1
-    bench = run_benchmark(
-        "M1",
-        MethodConfig(method="FST_PRJ1", n_directions=12, vote_shares=shares),
-        reps=3,
-        n=40,
-        k=20,
-        seed=29,
-    )
-    np.testing.assert_allclose(points[0].fpr, bench.fpr)
+    grid = [ThresholdTriple(0.4, 0.3, 0.3), ThresholdTriple(0.2, 0.5, 0.5)]
+    for scope in (SCOPE_UNION, SCOPE_SHAPE):
+        points = threshold_sweep(
+            "M1", grid, reps=3, n=40, k=20, seed=29, n_directions=12, report_scope=scope
+        )
+        assert points == [
+            run_benchmark(
+                "M1",
+                MethodConfig("FST_PRJ1", scope, n_directions=12, vote_shares=shares),
+                reps=3,
+                n=40,
+                k=20,
+                seed=29,
+            )
+            for shares in grid
+        ]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_benchmark_f1_scores_each_repetition(method):
+    res = run_sim(method, report_scope=SCOPE_SHAPE)
+    for r, labeled in enumerate(_simulation(*sim_args()).datasets):
+        config = MethodConfig(method, n_directions=12)
+        report = run_method(labeled.data, config, child_seed(SIM["seed"], r, 1))
+        flagged = scoped_flags(report.flags, SCOPE_SHAPE)
+        assert res.f1[r] == f1_score(flagged, frozenset(labeled.outlier_indices))
 
 
 def test_threshold_sweep_null_model_has_no_f1():
     points = threshold_sweep(
         "M0", [ThresholdTriple(0.4, 0.3, 0.3)], reps=2, n=30, k=15, seed=7, n_directions=10
     )
-    assert points[0].f1 is None
+    assert points[0].f1 is None and points[0].tpr is None
     assert math.isnan(points[0].f1_mean)
     assert points[0].fpr.shape == (2,)
 
@@ -575,21 +593,23 @@ def test_threshold_sweep_reps_do_not_depend_on_rep_count():
     grid = [ThresholdTriple(0.3, 0.3, 0.3), ThresholdTriple(0.5, 0.4, 0.4)]
     short = threshold_sweep("M3", grid, reps=2, n=40, k=20, seed=23, n_directions=12)
     long = threshold_sweep("M3", grid, reps=4, n=40, k=20, seed=23, n_directions=12)
+    assert len(short) == len(long) == len(grid)
     for a, b in zip(short, long):
-        assert a.shares == b.shares
-        np.testing.assert_array_equal(a.f1, b.f1[:2])
-        np.testing.assert_array_equal(a.fpr, b.fpr[:2])
+        assert (a.reps, b.reps) == (2, 4)
+        for rates in ("tpr", "fpr", "f1"):
+            np.testing.assert_array_equal(getattr(a, rates), getattr(b, rates)[:2])
 
 
 def test_sweep_points_compare_by_value_and_hold_read_only_copies():
-    shares = ThresholdTriple(0.4, 0.3, 0.3)
+    # a sweep point is FST_PRJ1's BenchmarkResult; its f1 is a read-only copy
     f1, fpr = np.array([0.5, 1.0]), np.array([2.5, 0.0])
-    point = SweepPoint(shares, f1, fpr)
-    assert point == SweepPoint(shares, f1.copy(), fpr.copy())
-    assert SweepPoint(shares, None, fpr) == SweepPoint(shares, None, fpr)
-    assert point != SweepPoint(ThresholdTriple(0.5, 0.3, 0.3), f1, fpr)
-    assert point != SweepPoint(shares, None, fpr)
-    assert point != SweepPoint(shares, f1, np.array([2.5, 1.0]))
+    point = bench_result(method="FST_PRJ1", fpr=fpr, f1=f1)
+    assert point == bench_result(method="FST_PRJ1", fpr=fpr.copy(), f1=f1.copy())
+    assert point != bench_result(method="FST_PRJ1", fpr=fpr, f1=np.array([0.5, 0.9]))
+    assert point != bench_result(method="FST_PRJ1", fpr=np.array([2.5, 1.0]), f1=f1)
+    grid = [ThresholdTriple(0.3, 0.3, 0.3), ThresholdTriple(1.0, 1.0, 1.0)]
+    low, high = threshold_sweep("M1", grid, reps=3, n=40, k=20, seed=31, n_directions=12)
+    assert low != high
     f1[0] = fpr[0] = -1.0
     assert (point.f1[0], point.fpr[0]) == (0.5, 2.5)
     with pytest.raises(ValueError):
@@ -602,6 +622,7 @@ def test_threshold_sweep_points_own_their_rates():
     assert points == threshold_sweep("M3", grid, reps=2, n=40, k=20, seed=23, n_directions=12)
     assert not np.shares_memory(points[0].fpr, points[1].fpr)
     assert not np.shares_memory(points[0].f1, points[1].f1)
+    assert not np.shares_memory(points[0].tpr, points[1].tpr)
     with pytest.raises(ValueError):
         points[0].fpr[0] = 0.0
 
@@ -708,3 +729,13 @@ def test_format_result_table_lists_rows():
     assert lines[0].split()[:2] == ["model", "method"]
     assert "M0" in lines[1] and "FST_MAR" in lines[1]
     assert "-" in lines[1]  # no TPR on the null model
+
+
+def test_format_result_table_shows_an_undefined_fpr_as_a_dash():
+    # at contamination 1 every curve is an outlier, so FPR has no inliers to count
+    res = run_benchmark("M1", MethodConfig(method="FST_MAR"), reps=2, n=20, k=10,
+                        contamination=1.0, seed=1)
+    assert np.isnan(res.fpr).all()
+    text = format_result_table([res])
+    assert text.splitlines()[1].split()[-2] == "-"
+    assert "nan" not in text

@@ -580,6 +580,32 @@ def test_non_numeric_baseline_rate_exits_config(tmp_path, capsys, command, rate)
     assert "baseline rates must be numbers" in capsys.readouterr().err
 
 
+def test_baseline_rate_too_large_for_a_float_exits_config(tmp_path, capsys):
+    rates = tmp_path / "big.json"
+    rates.write_text(
+        '{"shape": 1' + "0" * 400 + ', "amplitude": 0.01, "magnitude": 0.01, "union": 0.09}'
+    )
+    code = run(
+        "benchmark", "--model", "M1", "--method", "FST_PRJ", "--reps", "1",
+        "--baselines", str(rates), "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_CONFIG
+    assert "baseline rates must lie in [0, 1)" in capsys.readouterr().err
+
+
+def test_an_undefined_fpr_is_printed_as_a_dash_and_written_empty(tmp_path, capsys):
+    # --alpha 1.0 makes every curve an outlier, so FPR has no inliers to count
+    small = ("--model", "M1", "--alpha", "1.0", "--reps", "2", "--n", "20", "--k", "10")
+    assert run("benchmark", *small, "--method", "FST_MAR", "--out", str(tmp_path / "b")) == 0
+    assert run("sweep", *small, "--shares", "0.4", "--directions", "5",
+               "--out", str(tmp_path / "s")) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1].split()[-2] == "-"  # the benchmark table's fpr column
+    assert printed[4].split()[-1] == "-"  # the sweep table's fpr column
+    for written in ("b/summary.csv", "b/reps.csv", "s/sweep.csv"):
+        assert "nan" not in (tmp_path / written).read_text()
+
+
 def test_unknown_model_exits_config(tmp_path):
     with pytest.raises(SystemExit) as err:
         run("simulate", "--model", "M99", "--out", str(tmp_path / "out"))

@@ -615,18 +615,50 @@ def test_benchmark_csvs(tmp_path):
 
 
 def test_sweep_csv(tmp_path):
-    points = threshold_sweep(
-        "M1",
-        [ThresholdTriple(0.4, 0.3, 0.3), ThresholdTriple(0.6, 0.6, 0.6)],
-        reps=2,
-        n=30,
-        k=15,
-        seed=2,
-        n_directions=10,
-    )
+    grid = [ThresholdTriple(0.4, 0.3, 0.3), ThresholdTriple(0.6, 0.6, 0.6)]
+    results = threshold_sweep("M1", grid, reps=2, n=30, k=15, seed=2, n_directions=10)
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(points, path)
+    write_sweep_csv(grid, results, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("share_shape,share_amplitude,share_magnitude")
     assert float(lines[1].split(",")[0]) == 0.4
+    rows = list(csv.DictReader(io.StringIO(path.read_text())))
+    for row, res in zip(rows, results):
+        assert float(row["f1_mean"]) == res.f1_mean
+        assert float(row["fpr_mean"]) == res.fpr_mean
+    with pytest.raises(ValueError):
+        write_sweep_csv(grid, results[:1], tmp_path / "short.csv")
+
+
+#: Every simulated curve an outlier: FPR has no inliers to count and is NaN.
+ALL_OUTLIERS = dict(reps=2, n=20, k=10, contamination=1.0, seed=1)
+
+
+def write_all_outlier_rates(name, path):
+    if name == "sweep.csv":
+        grid = [ThresholdTriple(0.4, 0.3, 0.3)]
+        write_sweep_csv(grid, threshold_sweep("M1", grid, n_directions=5, **ALL_OUTLIERS), path)
+        return
+    res = run_benchmark("M1", MethodConfig(method="FST_MAR"), **ALL_OUTLIERS)
+    assert np.isnan(res.fpr).all()
+    writer = write_benchmark_summary_csv if name == "summary.csv" else write_benchmark_reps_csv
+    writer([res], path)
+
+
+@pytest.mark.parametrize(
+    "name, empty, filled",
+    [
+        ("summary.csv", ("fpr_mean", "fpr_sd"), ("tpr_mean", "tpr_sd")),
+        ("reps.csv", ("fpr",), ("tpr",)),
+        ("sweep.csv", ("fpr_mean", "fpr_sd"), ("f1_mean", "f1_sd")),
+    ],
+    ids=["summary", "reps", "sweep"],
+)
+def test_an_undefined_fpr_is_an_empty_cell(tmp_path, name, empty, filled):
+    path = tmp_path / name
+    write_all_outlier_rates(name, path)
+    assert "nan" not in path.read_text()
+    for row in csv.DictReader(io.StringIO(path.read_text())):
+        assert [row[column] for column in empty] == [""] * len(empty)
+        assert all(float(row[column]) >= 0.0 for column in filled)

@@ -733,6 +733,25 @@ def test_baselines_validation_and_round_trip():
         Baselines.from_dict({"shape": 0.1})
 
 
+@pytest.mark.parametrize("rate", [10**400, -(10**400), float("nan"), float("inf")],
+                         ids=["huge", "huge_negative", "nan", "inf"])
+def test_baseline_and_share_values_out_of_range_raise_config_errors(rate):
+    with pytest.raises(InvalidConfig, match=r"baseline rates must lie in \[0, 1\)"):
+        Baselines(rate, 0.01, 0.01, 0.09)
+    with pytest.raises(InvalidConfig, match=r"baseline rates must lie in \[0, 1\)"):
+        Baselines.from_dict({"shape": 0.07, "amplitude": rate, "magnitude": 0.01, "union": 0.09})
+    with pytest.raises(InvalidConfig, match=r"vote-share thresholds must lie in \(0, 1\]"):
+        ThresholdTriple(0.4, 0.3, rate)
+
+
+def test_baselines_hold_their_rates_as_floats():
+    rates = Baselines(0, np.float32(0.5), 0.25, 0)
+    assert [type(rate) for rate in rates.as_dict().values()] == [float] * 4
+    assert Baselines.from_dict({"shape": 0, "amplitude": 0, "magnitude": 0, "union": 0}) == (
+        Baselines(0.0, 0.0, 0.0, 0.0)
+    )
+
+
 def test_threshold_triple_validation():
     with pytest.raises(InvalidConfig):
         ThresholdTriple(0.0, 0.5, 0.5)
