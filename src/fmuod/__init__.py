@@ -18,7 +18,7 @@ from .benchmark import (
     threshold_sweep,
 )
 from .cutoffs import classify_outliers
-from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset
+from .datasets import FunctionalDataset, MultivariateFunctionalDataset
 from .errors import (
     DegenerateReference,
     FmuodError,
@@ -47,7 +47,6 @@ __all__ = [
     "DegenerateReference",
     "FmuodError",
     "FunctionalDataset",
-    "Grid",
     "InsufficientData",
     "InvalidConfig",
     "InvalidCurve",

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import FlagSet
-from .datasets import MultivariateFunctionalDataset, _array_eq, _freeze
+from .datasets import MultivariateFunctionalDataset, _array_eq, _check_dataset, _freeze
 from .errors import InvalidConfig
 from .indices import LOCATION_MEDIAN, LOCATIONS, TYPE_ORDER, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
@@ -114,6 +114,8 @@ def run_method(
     ``seed`` feeds direction generation for the projection methods and is
     ignored by the marginal and stringing methods.
     """
+    _check_dataset(data, MultivariateFunctionalDataset)
+    _check_instance("config", config, MethodConfig)
     if config.method == METHOD_MARGINAL:
         return detect_marginal(data, config.variant, config.location)
     if config.method == METHOD_STRINGING:
@@ -293,6 +295,7 @@ def run_benchmark(
     for a projection method the time the votes took to collect, whether
     this call built them or reused them, and this call's own scoring time.
     """
+    _check_instance("config", config, MethodConfig)
     _check_count("reps", reps, "benchmark needs at least one repetition")
     has_truth = SimulationSpec(model, n, k, contamination, 0).n_outliers > 0
     simulation = _simulation(model, n, k, contamination, seed, reps)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import _array, _is_integer
+from .datasets import _array, _check_dataset, _is_integer
 from .errors import InsufficientData, InvalidConfig, InvalidCurve
 from .indices import VARIANT_ORIGINAL_ABSOLUTE, IndexTable
 
@@ -164,8 +164,10 @@ def classify_outliers(table: IndexTable) -> FlagSet:
     Raises
     ------
     InvalidCurve
-        If a column holds NaN or infinite values.
+        If ``table`` is not an :class:`IndexTable` or a column holds NaN or
+        infinite values.
     """
+    _check_dataset(table, IndexTable)
     columns = np.stack(table.by_type())
     if not np.all(np.isfinite(columns)):
         raise InvalidCurve("index values contain NaN or infinite entries")

@@ -1,8 +1,11 @@
 """Containers for discretised functional data.
 
-Curves are observed on a common equidistant grid.  All index computations
-weight every grid point equally, so the grid abscissae only matter for
-simulation (where curves are evaluated from closed forms) and for plotting.
+A dataset is its ``(n, k)`` or ``(n, k, d)`` array of values: ``n`` curves,
+each observed at the same ``k`` points.  The grid is the ``k`` equidistant
+points on [0, 1].  All index computations weight every grid point equally, so
+they depend on the grid only through ``k``, and only the simulation evaluates
+curves at the points themselves.  Written files keep the point's position
+(``t_index``) only.
 
 The containers of arrays, here and in the other modules, hold read-only
 copies (:func:`_freeze`) and compare by value (:func:`_array_eq`).
@@ -15,10 +18,6 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import FmuodError, InvalidCurve
-
-#: Maximum deviation between grid steps before a grid is rejected, relative to
-#: the grid's largest absolute point when that exceeds one.
-SPACING_TOL = 1e-12
 
 
 def _is_integer(value) -> bool:
@@ -68,78 +67,29 @@ def _array_eq(self, other):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """Equidistant evaluation points ``t_1 < t_2 < ... < t_k``.
-
-    Parameters
-    ----------
-    points : array_like
-        One-dimensional, strictly increasing, finite, with at least two
-        entries.  Steps must agree within :data:`SPACING_TOL` times
-        ``max(1, max|t|)``.
-    """
-
-    points: np.ndarray
-
-    __eq__ = _array_eq
-
-    def __post_init__(self):
-        pts = _freeze(self, "points", float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise InvalidCurve("grid must be one-dimensional with at least 2 points")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidCurve("grid points must be finite")
-        steps = np.diff(pts)
-        if not np.all(steps > 0):
-            raise InvalidCurve("grid points must be strictly increasing")
-        spacing = (pts[-1] - pts[0]) / (pts.size - 1)
-        tol = SPACING_TOL * max(1.0, float(np.abs(pts).max()))
-        if np.max(np.abs(steps - spacing)) > tol:
-            raise InvalidCurve(f"grid is not equidistant within {tol:g}")
-
-    @classmethod
-    def regular(cls, k: int) -> "Grid":
-        """Build the k-point equidistant grid on [0, 1]."""
-        if not _is_integer(k):
-            raise InvalidCurve(f"grid size must be an integer, got {k!r}")
-        if k < 2:
-            raise InvalidCurve("grid needs at least 2 points")
-        return cls(np.linspace(0.0, 1.0, k))
-
-    @property
-    def k(self) -> int:
-        return self.points.size
-
-    @property
-    def spacing(self) -> float:
-        return float((self.points[-1] - self.points[0]) / (self.points.size - 1))
-
-
-def _check_values(values: np.ndarray, ndim: int, what: str, grid: Grid) -> None:
+def _check_values(values: np.ndarray, ndim: int, what: str) -> None:
     if values.ndim != ndim:
         raise InvalidCurve(f"{what} must be {ndim}-dimensional, got shape {values.shape}")
+    if values.shape[1] < 2:
+        raise InvalidCurve(f"curves need at least 2 points, got {values.shape[1]}")
     if not np.all(np.isfinite(values)):
         raise InvalidCurve(f"{what} contains NaN or infinite entries")
-    if values.shape[1] != grid.k:
-        raise InvalidCurve(f"curves have {values.shape[1]} points but the grid has {grid.k}")
 
 
 @dataclass(frozen=True, eq=False)
 class FunctionalDataset:
     """A sample of ``n`` univariate curves on a shared grid.
 
-    ``values[i, j]`` is curve ``i`` evaluated at ``grid.points[j]``.
+    ``values[i, j]`` is curve ``i`` at grid point ``j``.
     """
 
     values: np.ndarray
-    grid: Grid
 
     __eq__ = _array_eq
 
     def __post_init__(self):
         vals = _freeze(self, "values", float)
-        _check_values(vals, 2, "curve matrix", self.grid)
+        _check_values(vals, 2, "curve matrix")
         if vals.shape[0] < 1:
             raise InvalidCurve("dataset needs at least one curve")
 
@@ -160,13 +110,12 @@ class MultivariateFunctionalDataset:
     """
 
     values: np.ndarray
-    grid: Grid
 
     __eq__ = _array_eq
 
     def __post_init__(self):
         vals = _freeze(self, "values", float)
-        _check_values(vals, 3, "curve tensor", self.grid)
+        _check_values(vals, 3, "curve tensor")
         if vals.shape[0] < 1 or vals.shape[2] < 1:
             raise InvalidCurve("dataset needs at least one curve and one dimension")
 
@@ -186,9 +135,9 @@ class MultivariateFunctionalDataset:
         """The univariate dataset of component ``m``, for ``0 <= m < n_dims``."""
         if not _is_integer(m) or not 0 <= m < self.n_dims:
             raise InvalidCurve(f"component must be an integer in [0, {self.n_dims}), got {m!r}")
-        return FunctionalDataset(self.values[:, :, m], self.grid)
+        return FunctionalDataset(self.values[:, :, m])
 
     @classmethod
     def from_univariate(cls, data: FunctionalDataset) -> "MultivariateFunctionalDataset":
         """Wrap a univariate dataset as a d=1 multivariate one."""
-        return cls(data.values[:, :, None], data.grid)
+        return cls(data.values[:, :, None])

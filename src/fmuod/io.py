@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .datasets import FunctionalDataset, Grid, MultivariateFunctionalDataset, _check_dataset
+from .datasets import FunctionalDataset, MultivariateFunctionalDataset, _check_dataset
 from .errors import InvalidConfig, ParseError
 from .indices import TYPE_ORDER
 from .multivariate import Baselines, OutlierReport
@@ -137,7 +137,7 @@ def read_wide_csv(path, delimiter: str = ",") -> FunctionalDataset:
             raise ParseError(f"line {line_no}: expected {k} columns, found {len(row)}")
         for c, cell in enumerate(row):
             values[r, c] = _parse_float(cell, line_no, "value")
-    return FunctionalDataset(values, Grid.regular(k))
+    return FunctionalDataset(values)
 
 
 def write_wide_csv(data: FunctionalDataset, path) -> None:
@@ -169,7 +169,7 @@ def read_long_csv(path, delimiter: str = ",") -> MultivariateFunctionalDataset:
     values = _long_values_bulk(path, delimiter)
     if values is None:
         return _read_long_lines(path, delimiter)
-    return MultivariateFunctionalDataset(values, Grid.regular(values.shape[1]))
+    return MultivariateFunctionalDataset(values)
 
 
 def _long_values_bulk(path, delimiter: str) -> np.ndarray | None:
@@ -279,7 +279,7 @@ def _read_long_lines(path, delimiter: str) -> MultivariateFunctionalDataset:
     values = np.empty((n, k, n_dims))
     for (i, j), vec in cells.items():
         values[i, j] = vec
-    return MultivariateFunctionalDataset(values, Grid.regular(k))
+    return MultivariateFunctionalDataset(values)
 
 
 def write_long_csv(data: MultivariateFunctionalDataset, path) -> None:

@@ -251,7 +251,7 @@ def project(data: MultivariateFunctionalDataset, direction) -> FunctionalDataset
         raise InvalidDirection("direction contains NaN or infinite entries")
     if float(np.sqrt(vec @ vec)) < MIN_DIRECTION_NORM:
         raise InvalidDirection("direction norm is (near-)zero")
-    return FunctionalDataset(_project_rows(data.values, vec[None])[0], data.grid)
+    return FunctionalDataset(_project_rows(data.values, vec[None])[0])
 
 
 def _project_rows(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -459,6 +459,7 @@ def collect_votes(
 def _vote(data, directions, variant, location) -> tuple[VoteMatrix, list, list]:
     """:func:`collect_votes` plus the labels and ``(3, n)`` index columns of the kept projections."""
     _check_dataset(data, MultivariateFunctionalDataset)
+    _check_instance("directions", directions, DirectionSet)
     _check_variant(variant)
     if directions.n_dims != data.n_dims:
         raise InvalidDirection(
@@ -503,6 +504,7 @@ def select_thresholds(
     :data:`DEFAULT_GAMMA` and :data:`DEFAULT_ETA`; the returned selection
     records them.
     """
+    _check_instance("votes", votes, VoteMatrix)
     _check_instance("baselines", baselines, Baselines)
     gamma, eta = DEFAULT_GAMMA, DEFAULT_ETA
     delta_types = tuple(

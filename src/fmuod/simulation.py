@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import Grid, MultivariateFunctionalDataset, _is_integer, _is_real
+from .datasets import MultivariateFunctionalDataset, _is_integer, _is_real
 from .errors import InvalidConfig
 
 #: Number of components of the simulated curves.
@@ -94,6 +94,8 @@ class SimulationSpec:
             raise InvalidConfig("n must be at least 1")
         if self.k < 2:
             raise InvalidConfig("k must be at least 2")
+        if int(self.n) * int(self.k) * N_DIMS > np.iinfo(np.intp).max:
+            raise InvalidConfig(f"n * k * {N_DIMS} values exceed what a numpy array can index")
         if not _is_real(self.contamination):
             raise InvalidConfig("contamination must be a number")
         if not (0.0 <= self.contamination <= 1.0):
@@ -125,18 +127,17 @@ def score_variances() -> np.ndarray:
     return (N_COMPONENTS + 1 - m) / N_COMPONENTS
 
 
-def multivariate_eigenfunctions(grid: Grid) -> np.ndarray:
-    """Orthonormal trivariate eigenfunctions evaluated on the grid.
+def multivariate_eigenfunctions(t: np.ndarray) -> np.ndarray:
+    """Orthonormal trivariate eigenfunctions evaluated at the points ``t``.
 
     The Fourier family on [0, d] with ``d =`` :data:`N_DIMS` (constant, then
     sine and cosine pairs of increasing frequency) is cut into ``d``
     unit-length pieces; piece ``j`` becomes component ``j``.  The family is
     orthonormal under the inner product summing the per-component integrals
-    over the grid's span, which is designed for grids on [0, 1].
+    over [0, 1], so ``t`` is meant to be a grid on [0, 1].
 
-    Returns an array of shape ``(N_COMPONENTS, N_DIMS, k)``.
+    Returns an array of shape ``(N_COMPONENTS, N_DIMS, t.size)``.
     """
-    t = grid.points
     out = np.empty((N_COMPONENTS, N_DIMS, t.size))
     for m in range(N_COMPONENTS):
         for j in range(N_DIMS):
@@ -154,7 +155,7 @@ def multivariate_eigenfunctions(grid: Grid) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _eigenfunctions(k: int) -> np.ndarray:
     """Read-only :func:`multivariate_eigenfunctions` on the regular grid of ``k`` points."""
-    psi = multivariate_eigenfunctions(Grid.regular(k))
+    psi = multivariate_eigenfunctions(np.linspace(0.0, 1.0, k))
     psi.setflags(write=False)
     return psi
 
@@ -241,8 +242,7 @@ def generate(spec: SimulationSpec) -> LabeledDataset:
     """Draw one labelled dataset according to ``spec``."""
     base, affected = VARIANT_DIMS.get(spec.model, (spec.model, tuple(range(N_DIMS))))
     rng = np.random.default_rng(spec.seed)
-    grid = Grid.regular(spec.k)
-    t = grid.points
+    t = np.linspace(0.0, 1.0, spec.k)
     n, n_out = spec.n, spec.n_outliers
 
     psi = _eigenfunctions(spec.k)
@@ -283,5 +283,5 @@ def generate(spec: SimulationSpec) -> LabeledDataset:
 
     outliers = positions.tolist()
     info = {i: {key: v[a].tolist() for key, v in params.items()} for a, i in enumerate(outliers)}
-    data = MultivariateFunctionalDataset(values, grid)
+    data = MultivariateFunctionalDataset(values)
     return LabeledDataset(data, tuple(outliers), info)

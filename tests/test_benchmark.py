@@ -5,7 +5,6 @@ import pytest
 
 import fmuod.benchmark
 from fmuod import (
-    Grid,
     InvalidConfig,
     MethodConfig,
     MultivariateFunctionalDataset,
@@ -704,7 +703,7 @@ def test_sweep_and_baselines_build_no_index_tables(vote_collections, table_count
 
 def test_detect_projection_builds_one_table_per_kept_direction(table_count):
     first = np.random.default_rng(10).standard_normal((12, 8))
-    data = MultivariateFunctionalDataset(np.stack([first, -first], axis=2), Grid.regular(8))
+    data = MultivariateFunctionalDataset(np.stack([first, -first], axis=2))
     s = np.sqrt(0.5)
     directions = DirectionSet(np.array([[s, s], [1.0, 0.0], [0.0, 1.0], [-s, -s], [s, -s]]))
     report = detect_projection(data, directions)

@@ -11,7 +11,7 @@ import pytest
 
 import fmuod.benchmark
 import fmuod.multivariate
-from fmuod import FunctionalDataset, Grid, MultivariateFunctionalDataset
+from fmuod import FunctionalDataset, MultivariateFunctionalDataset
 from fmuod.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PARSE, main
 from fmuod.io import read_baselines, write_long_csv, write_wide_csv
 
@@ -69,7 +69,7 @@ def test_detect_wide_layout_with_marginal_method(tmp_path):
     values = rng.standard_normal((30, 20)) * 0.3
     values[4] += 9.0
     data_path = tmp_path / "wide.csv"
-    write_wide_csv(FunctionalDataset(values, Grid.regular(20)), data_path)
+    write_wide_csv(FunctionalDataset(values), data_path)
     det = tmp_path / "det"
     assert run(
         "detect", "--input", str(data_path), "--layout", "wide_univariate",
@@ -593,6 +593,21 @@ def test_baseline_rate_too_large_for_a_float_exits_config(tmp_path, capsys):
     assert "baseline rates must lie in [0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("benchmark", "--model", "M1", "--method", "FST_MAR", "--reps", "1", "--n", "1" + "0" * 400),
+     ("benchmark", "--model", "M0", "--method", "FST_MAR", "--reps", "1", "--n", str(2**62)),
+     ("simulate", "--model", "M1", "--k", "1" + "0" * 400),
+     ("simulate", "--model", "M0", "--n", str(2**62))],
+    ids=["benchmark_huge_n", "benchmark_m0_n_2_62", "simulate_huge_k", "simulate_m0_n_2_62"],
+)
+def test_sizes_numpy_cannot_index_exit_config(tmp_path, capsys, argv):
+    # every size here fails in validation; none is ever allocated
+    assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+    assert "exceed what a numpy array can index" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_undefined_fpr_is_printed_as_a_dash_and_written_empty(tmp_path, capsys):
     # --alpha 1.0 makes every curve an outlier, so FPR has no inliers to count
     small = ("--model", "M1", "--alpha", "1.0", "--reps", "2", "--n", "20", "--k", "10")
@@ -641,7 +656,7 @@ def test_constant_component_exits_degenerate(tmp_path, capsys):
     values = np.random.default_rng(3).standard_normal((10, 6, 2))
     values[:, :, 1] = 0.5
     path = tmp_path / "data.csv"
-    write_long_csv(MultivariateFunctionalDataset(values, Grid.regular(6)), path)
+    write_long_csv(MultivariateFunctionalDataset(values), path)
     code = run(
         "detect", "--input", str(path), "--layout", "long_multivariate",
         "--method", "FST_MAR", "--out", str(tmp_path / "out"),
@@ -658,7 +673,7 @@ def test_overflowing_index_values_exit_degenerate(tmp_path, capsys, method):
     values = np.random.default_rng(0).standard_normal((20, 10, 2))
     values[5] = 1.7e308
     path = tmp_path / "data.csv"
-    write_long_csv(MultivariateFunctionalDataset(values, Grid.regular(10)), path)
+    write_long_csv(MultivariateFunctionalDataset(values), path)
     code = run(
         "detect", "--input", str(path), "--layout", "long_multivariate",
         "--method", method, "--emit-indices", "--out", str(tmp_path / "out"),
@@ -675,7 +690,7 @@ def test_overflowing_minmax_range_exits_degenerate(tmp_path, capsys):
     values[5] = 1.7e308
     values[6] = -1.7e308
     path = tmp_path / "data.csv"
-    write_long_csv(MultivariateFunctionalDataset(values, Grid.regular(10)), path)
+    write_long_csv(MultivariateFunctionalDataset(values), path)
     code = run(
         "detect", "--input", str(path), "--layout", "long_multivariate",
         "--method", "FST_STR", "--scale", "minmax", "--out", str(tmp_path / "out"),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fmuod import (
     FunctionalDataset,
-    Grid,
     InsufficientData,
     InvalidConfig,
     InvalidCurve,
@@ -134,7 +133,7 @@ def _magnitude_outlier_table(shift):
     rng = np.random.default_rng(7)
     values = rng.standard_normal((30, 20)) * 0.2 + np.linspace(0.0, 1.0, 20)
     values[4] += shift
-    data = FunctionalDataset(values, Grid.regular(20))
+    data = FunctionalDataset(values)
     ref = np.median(values, axis=0)
     return compute_index_table(data, ref)
 
@@ -157,7 +156,7 @@ def test_classify_defaults_follow_table_variant():
     rng = np.random.default_rng(7)
     values = rng.standard_normal((30, 20)) * 0.2 + np.linspace(0.0, 1.0, 20)
     values[4] -= 8.0
-    data = FunctionalDataset(values, Grid.regular(20))
+    data = FunctionalDataset(values)
     ref = np.median(values, axis=0)
     table = compute_index_table(data, ref, VARIANT_ORIGINAL_ABSOLUTE)
     flags = classify_outliers(table)

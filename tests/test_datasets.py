@@ -3,9 +3,14 @@ import pytest
 
 from fmuod import (
     FunctionalDataset,
-    Grid,
+    InvalidConfig,
     InvalidCurve,
+    MethodConfig,
     MultivariateFunctionalDataset,
+    classify_outliers,
+    run_benchmark,
+    run_method,
+    select_thresholds,
 )
 from fmuod.cutoffs import FlagSet
 from fmuod.indices import IndexTable, compute_index_table, reference_from_sample
@@ -24,119 +29,43 @@ from fmuod.multivariate import (
 from fmuod.simulation import SimulationSpec, generate
 
 
-def test_regular_grid_basic():
-    grid = Grid.regular(5)
-    np.testing.assert_allclose(grid.points, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert grid.k == 5
-    assert grid.spacing == pytest.approx(0.25)
-
-
-def test_regular_grid_custom_span():
-    grid = Grid(np.linspace(1.0, 7.0, 4))
-    np.testing.assert_allclose(grid.points, [1.0, 3.0, 5.0, 7.0])
-    assert grid.spacing == pytest.approx(2.0)
-
-
-def test_grid_rejects_too_short():
-    with pytest.raises(InvalidCurve):
-        Grid(np.array([0.0]))
-    with pytest.raises(InvalidCurve):
-        Grid.regular(1)
-
-
-@pytest.mark.parametrize("k", [2.5, 4.0, "3", None, True])
-def test_regular_grid_rejects_non_integer_sizes(k):
-    with pytest.raises(InvalidCurve, match="grid size must be an integer"):
-        Grid.regular(k)
-
-
-def test_regular_grid_accepts_numpy_integers():
-    np.testing.assert_array_equal(Grid.regular(np.int64(4)).points, Grid.regular(4).points)
-
-
-def test_grids_compare_by_value():
-    assert Grid.regular(4) == Grid.regular(4)
-    assert Grid.regular(4) != Grid.regular(5)
-    assert Grid(np.array([0.0, 0.5, 1.0])) != Grid(np.array([0.0, 0.25, 0.5]))
-    assert Grid.regular(4) != "grid"
-
-
-def test_grid_rejects_non_increasing():
-    with pytest.raises(InvalidCurve):
-        Grid(np.array([0.0, 0.5, 0.4]))
-    with pytest.raises(InvalidCurve):
-        Grid(np.array([0.0, 0.0, 1.0]))
-
-
-def test_grid_rejects_unequal_spacing():
-    with pytest.raises(InvalidCurve):
-        Grid(np.array([0.0, 0.1, 1.0]))
-    uneven = np.linspace(0.0, 1e4, 301)
-    uneven[150] += 1e-6  # beyond the scaled tolerance of 1e-8
-    with pytest.raises(InvalidCurve):
-        Grid(uneven)
-
-
-@pytest.mark.parametrize(
-    "points",
-    [np.linspace(0.0, 1e4, 301), np.linspace(1e6, 1e6 + 1.0, 11), np.linspace(0.0, 3600.0, 50)],
-    ids=["wide", "far-offset", "seconds"],
-)
-def test_grid_spacing_tolerance_scales_with_the_points(points):
-    np.testing.assert_array_equal(Grid(points).points, points)
-
-
-def test_grid_rejects_non_finite():
-    with pytest.raises(InvalidCurve):
-        Grid(np.array([0.0, np.nan, 1.0]))
-    with pytest.raises(InvalidCurve):
-        Grid(np.array([0.0, 1.0, np.inf]))
-
-
-def test_grid_rejects_two_dimensional():
-    with pytest.raises(InvalidCurve):
-        Grid(np.zeros((2, 2)))
-
-
-def test_grid_points_are_read_only():
-    grid = Grid.regular(3)
-    with pytest.raises(ValueError):
-        grid.points[0] = 9.0
-
-
 def test_dataset_shape_and_accessors():
     values = np.arange(12.0).reshape(3, 4)
-    data = FunctionalDataset(values, Grid.regular(4))
+    data = FunctionalDataset(values)
     assert data.n == 3
     assert data.k == 4
 
 
 def test_dataset_copies_and_freezes_values():
     values = np.zeros((2, 3))
-    data = FunctionalDataset(values, Grid.regular(3))
+    data = FunctionalDataset(values)
     values[0, 0] = 5.0
     assert data.values[0, 0] == 0.0
     with pytest.raises(ValueError):
         data.values[0, 0] = 1.0
 
 
-def test_dataset_rejects_grid_mismatch():
-    with pytest.raises(InvalidCurve):
-        FunctionalDataset(np.zeros((2, 3)), Grid.regular(4))
+def test_grid_rejects_too_short():
+    # a dataset's grid is its k points, and k must be at least 2
+    for build, shape in [(FunctionalDataset, (2, 1)), (FunctionalDataset, (2, 0)),
+                         (MultivariateFunctionalDataset, (2, 1, 3)),
+                         (MultivariateFunctionalDataset, (0, 1, 3))]:
+        with pytest.raises(InvalidCurve, match="curves need at least 2 points"):
+            build(np.zeros(shape))
 
 
 def test_dataset_rejects_bad_values():
     with pytest.raises(InvalidCurve):
-        FunctionalDataset(np.zeros(3), Grid.regular(3))
+        FunctionalDataset(np.zeros(3))
     with pytest.raises(InvalidCurve):
-        FunctionalDataset(np.full((2, 3), np.nan), Grid.regular(3))
+        FunctionalDataset(np.full((2, 3), np.nan))
     with pytest.raises(InvalidCurve):
-        FunctionalDataset(np.zeros((0, 3)), Grid.regular(3))
+        FunctionalDataset(np.zeros((0, 3)))
 
 
 def test_multivariate_accessors():
     values = np.arange(24.0).reshape(2, 4, 3)
-    data = MultivariateFunctionalDataset(values, Grid.regular(4))
+    data = MultivariateFunctionalDataset(values)
     assert (data.n, data.k, data.n_dims) == (2, 4, 3)
     margin = data.margin(2)
     assert isinstance(margin, FunctionalDataset)
@@ -145,45 +74,38 @@ def test_multivariate_accessors():
 
 def test_multivariate_rejects_bad_shapes():
     with pytest.raises(InvalidCurve):
-        MultivariateFunctionalDataset(np.zeros((2, 4)), Grid.regular(4))
+        MultivariateFunctionalDataset(np.zeros((2, 4)))
     with pytest.raises(InvalidCurve):
-        MultivariateFunctionalDataset(np.zeros((2, 3, 2)), Grid.regular(4))
+        MultivariateFunctionalDataset(np.zeros((2, 1, 2)))
     with pytest.raises(InvalidCurve):
-        MultivariateFunctionalDataset(np.zeros((2, 4, 0)), Grid.regular(4))
-
-
-@pytest.mark.parametrize("points", [["a", "b"], [object(), 1.0], [[0.0, 1.0], [2.0]]],
-                         ids=["strings", "objects", "ragged"])
-def test_grid_rejects_non_numeric_points(points):
-    with pytest.raises(InvalidCurve, match="points must be a regular array of numbers"):
-        Grid(points)
+        MultivariateFunctionalDataset(np.zeros((2, 4, 0)))
 
 
 def test_dataset_rejects_non_numeric_values():
     with pytest.raises(InvalidCurve, match="values must be a regular array of numbers"):
-        FunctionalDataset([["a", "b"]], Grid.regular(2))
+        FunctionalDataset([["a", "b"]])
 
 
 def test_multivariate_rejects_non_numeric_values():
     with pytest.raises(InvalidCurve, match="values must be a regular array of numbers"):
-        MultivariateFunctionalDataset([[["a"], ["b"]]], Grid.regular(2))
+        MultivariateFunctionalDataset([[["a"], ["b"]]])
 
 
 @pytest.mark.parametrize("m", [3, -1, 1.0, True], ids=["past_end", "negative", "float", "bool"])
 def test_margin_rejects_a_component_outside_the_data(m):
-    data = MultivariateFunctionalDataset(np.zeros((10, 5, 3)), Grid.regular(5))
+    data = MultivariateFunctionalDataset(np.zeros((10, 5, 3)))
     with pytest.raises(InvalidCurve, match=r"component must be an integer in \[0, 3\)"):
         data.margin(m)
 
 
 def test_margin_accepts_numpy_integers():
     values = np.arange(24.0).reshape(2, 4, 3)
-    data = MultivariateFunctionalDataset(values, Grid.regular(4))
+    data = MultivariateFunctionalDataset(values)
     np.testing.assert_array_equal(data.margin(np.int64(1)).values, values[:, :, 1])
 
 
 def test_from_univariate_round_trip():
-    uni = FunctionalDataset(np.random.default_rng(0).normal(size=(5, 6)), Grid.regular(6))
+    uni = FunctionalDataset(np.random.default_rng(0).normal(size=(5, 6)))
     mv = MultivariateFunctionalDataset.from_univariate(uni)
     assert mv.n_dims == 1
     np.testing.assert_array_equal(mv.margin(0).values, uni.values)
@@ -200,14 +122,13 @@ def _report(proportions):
 
 # name: (build an instance from the caller's array, that array, a different one)
 CONTAINERS = {
-    "Grid": (Grid, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 5)),
     "FunctionalDataset": (
-        lambda a: FunctionalDataset(a, Grid.regular(3)),
+        lambda a: FunctionalDataset(a),
         np.arange(6.0).reshape(2, 3),
         -np.arange(6.0).reshape(2, 3),
     ),
     "MultivariateFunctionalDataset": (
-        lambda a: MultivariateFunctionalDataset(a, Grid.regular(3)),
+        lambda a: MultivariateFunctionalDataset(a),
         np.arange(12.0).reshape(2, 3, 2),
         np.ones((2, 3, 2)),
     ),
@@ -280,6 +201,10 @@ WRONG_KIND_CALLS = {
     ),
     "project": (MultivariateFunctionalDataset, lambda data, path: project(data, [1.0, 0.0, 0.0])),
     "write_long_csv": (MultivariateFunctionalDataset, write_long_csv),
+    "run_method": (
+        MultivariateFunctionalDataset,
+        lambda data, path: run_method(data, MethodConfig("FST_PRJ"), 0),
+    ),
 }
 
 
@@ -292,3 +217,30 @@ def test_a_dataset_of_the_wrong_kind_is_rejected(tmp_path, name):
     with pytest.raises(InvalidCurve, match=f"expected a {needed.__name__}, got a "):
         call(wrong, path)
     assert not path.exists()
+
+
+#: Calls given an argument of the wrong kind: (the error, the call on an M1 dataset).
+WRONG_ARGUMENT_CALLS = {
+    "collect_votes_directions": (
+        InvalidConfig, lambda data: collect_votes(data, [[1.0, 0.0, 0.0]])
+    ),
+    "detect_projection_directions": (
+        InvalidConfig, lambda data: detect_projection(data, np.eye(3))
+    ),
+    "select_thresholds_votes": (
+        InvalidConfig, lambda data: select_thresholds(np.zeros((3, 2, 3), bool))
+    ),
+    "classify_outliers_table": (InvalidCurve, lambda data: classify_outliers(np.zeros((3, 5)))),
+    "run_method_config": (InvalidConfig, lambda data: run_method(data, "FST_MAR", 0)),
+    "run_benchmark_config": (
+        InvalidConfig, lambda data: run_benchmark("M1", "FST_MAR", 2, 20, 10)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_ARGUMENT_CALLS)
+def test_an_argument_of_the_wrong_kind_is_rejected(name):
+    error, call = WRONG_ARGUMENT_CALLS[name]
+    data = generate(SimulationSpec("M1", 20, 10, 0.1, 1)).data
+    with pytest.raises(error, match="must be a|expected a"):
+        call(data)

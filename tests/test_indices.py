@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from fmuod import (
     DegenerateReference,
     FunctionalDataset,
-    Grid,
     InsufficientData,
     InvalidCurve,
     compute_index_table,
@@ -28,7 +27,7 @@ from fmuod.indices import (
 def index_rows(curves, ref, variant=VARIANT_STANDARD):
     """Index table of ``curves`` stacked into one sample, one row per curve."""
     values = np.array(curves, dtype=float, ndmin=2)
-    return compute_index_table(FunctionalDataset(values, Grid.regular(values.shape[1])), ref, variant)
+    return compute_index_table(FunctionalDataset(values), ref, variant)
 
 
 def random_curves(seed, n, k, scale=1.0):
@@ -85,7 +84,7 @@ def test_near_constant_reference_is_not_silently_zeroed():
 def test_shape_range_on_random_data():
     ref = np.sin(np.linspace(0.0, 3.0, 40))
     values = random_curves(1, 200, 40, scale=3.0)
-    table = compute_index_table(FunctionalDataset(values, Grid.regular(40)), ref)
+    table = compute_index_table(FunctionalDataset(values), ref)
     assert np.all(table.shape >= 0.0)
     assert np.all(table.shape <= 2.0)
 
@@ -100,7 +99,7 @@ def test_table_matches_per_row_computation_exactly():
     values = random_curves(2, 100, 25, scale=2.0)
     # include a constant row and a non-contiguous layout
     values[17] = 0.25
-    data = FunctionalDataset(values, Grid.regular(25))
+    data = FunctionalDataset(values)
     table = compute_index_table(data, ref)
     for i in range(data.n):
         alone = index_rows(data.values[i], ref)
@@ -112,7 +111,7 @@ def test_table_matches_per_row_computation_exactly():
 def test_original_absolute_takes_absolute_values():
     ref = [0.0, 1.0, 2.0, 3.0]
     values = np.array([[3.0, 2.0, 1.0, 0.0], [-5.0, -4.0, -3.0, -2.0]])
-    data = FunctionalDataset(values, Grid.regular(4))
+    data = FunctionalDataset(values)
     std = compute_index_table(data, ref, VARIANT_STANDARD)
     origin = compute_index_table(data, ref, VARIANT_ORIGINAL_ABSOLUTE)
     np.testing.assert_array_equal(origin.shape, std.shape)
@@ -123,17 +122,17 @@ def test_original_absolute_takes_absolute_values():
 
 def test_table_rejects_unknown_variant_and_grid_mismatch():
     ref = [0.0, 1.0, 2.0]
-    data = FunctionalDataset(np.zeros((2, 4)) + [0, 1, 2, 3], Grid.regular(4))
+    data = FunctionalDataset(np.zeros((2, 4)) + [0, 1, 2, 3])
     with pytest.raises(InvalidCurve):
         compute_index_table(data, ref)
     with pytest.raises(InvalidCurve):
         compute_index_table(
-            FunctionalDataset([[0.0, 1.0, 2.0]], Grid.regular(3)), ref, "bogus"
+            FunctionalDataset([[0.0, 1.0, 2.0]]), ref, "bogus"
         )
 
 
 def test_table_rejects_reference_of_wrong_shape_or_values():
-    data = FunctionalDataset(np.zeros((2, 4)) + [0, 1, 2, 3], Grid.regular(4))
+    data = FunctionalDataset(np.zeros((2, 4)) + [0, 1, 2, 3])
     with pytest.raises(InvalidCurve, match="one-dimensional"):
         compute_index_table(data, np.ones((1, 4)))
     with pytest.raises(InvalidCurve, match="reference has 3 points but the data has 4"):
@@ -143,7 +142,7 @@ def test_table_rejects_reference_of_wrong_shape_or_values():
 
 
 def test_reference_as_list_writable_or_read_only_array_gives_equal_bytes():
-    data = FunctionalDataset(random_curves(3, 9, 6), Grid.regular(6))
+    data = FunctionalDataset(random_curves(3, 9, 6))
     from_sample = reference_from_sample(data)
     assert from_sample.shape == (6,) and not from_sample.flags.writeable
     writable = from_sample.copy()
@@ -156,7 +155,7 @@ def test_reference_as_list_writable_or_read_only_array_gives_equal_bytes():
 
 def test_table_row_accessors():
     ref = [0.0, 1.0, 2.0]
-    data = FunctionalDataset([[0.0, 2.0, 4.0], [5.1, 6.1, 7.1]], Grid.regular(3))
+    data = FunctionalDataset([[0.0, 2.0, 4.0], [5.1, 6.1, 7.1]])
     table = compute_index_table(data, ref)
     assert len(table) == 2
 
@@ -181,7 +180,7 @@ def test_center_curve_rejects_non_numeric_values():
 
 
 def test_index_table_rejects_a_non_numeric_reference():
-    data = FunctionalDataset(np.zeros((3, 4)), Grid.regular(4))
+    data = FunctionalDataset(np.zeros((3, 4)))
     with pytest.raises(InvalidCurve, match="reference values must be a regular array of numbers"):
         compute_index_table(data, "abcd")
 
@@ -192,7 +191,7 @@ def test_index_table_rejects_a_non_numeric_reference():
 
 def test_reference_from_sample_median_and_mean():
     values = np.array([[0.0, 0.0], [1.0, 2.0], [10.0, 4.0]])
-    data = FunctionalDataset(values, Grid.regular(2))
+    data = FunctionalDataset(values)
     med = reference_from_sample(data, LOCATION_MEDIAN)
     np.testing.assert_allclose(med, [1.0, 2.0])
     mean = reference_from_sample(data, LOCATION_MEAN)
@@ -200,13 +199,13 @@ def test_reference_from_sample_median_and_mean():
 
 
 def test_reference_from_sample_needs_two_curves():
-    data = FunctionalDataset([[0.0, 1.0]], Grid.regular(2))
+    data = FunctionalDataset([[0.0, 1.0]])
     with pytest.raises(InsufficientData):
         reference_from_sample(data)
 
 
 def test_reference_from_sample_rejects_unknown_location():
-    data = FunctionalDataset(np.random.default_rng(0).normal(size=(3, 4)), Grid.regular(4))
+    data = FunctionalDataset(np.random.default_rng(0).normal(size=(3, 4)))
     with pytest.raises(InvalidCurve):
         reference_from_sample(data, "mode")
 

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from fmuod import (
     Baselines,
     FunctionalDataset,
-    Grid,
     InvalidConfig,
     MethodConfig,
     MultivariateFunctionalDataset,
@@ -51,12 +50,12 @@ from fmuod.simulation import SimulationSpec, generate
 
 def random_uni(seed=0, n=6, k=9):
     rng = np.random.default_rng(seed)
-    return FunctionalDataset(rng.standard_normal((n, k)), Grid.regular(k))
+    return FunctionalDataset(rng.standard_normal((n, k)))
 
 
 def random_mv(seed=0, n=4, k=7, d=2):
     rng = np.random.default_rng(seed)
-    return MultivariateFunctionalDataset(rng.standard_normal((n, k, d)), Grid.regular(k))
+    return MultivariateFunctionalDataset(rng.standard_normal((n, k, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +85,7 @@ def test_wide_csv_is_pinned(tmp_path):
     # signed zeros, subnormals, exponents and thirds in their shortest form
     values = np.array([[0.1, -0.0, 1e-300, 2.5e20, -3.0], [1 / 3, 5e-324, -1e308, 7.0, 0.0]])
     path = tmp_path / "wide.csv"
-    write_wide_csv(FunctionalDataset(values, Grid.regular(5)), path)
+    write_wide_csv(FunctionalDataset(values), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "b688eb734771895783cf233277f6d5825c2487941c39eea3b77c6a4fb8cd45c9"
     )
@@ -401,7 +400,7 @@ def csv_writer_bytes(header, rows) -> bytes:
     )
 )
 def test_long_writer_matches_csv_writer(tmp_path, values):
-    data = MultivariateFunctionalDataset(values, Grid.regular(values.shape[1]))
+    data = MultivariateFunctionalDataset(values)
     path = tmp_path / "long.csv"
     write_long_csv(data, path)
     n, k, d = values.shape

@@ -7,7 +7,6 @@ from fmuod import (
     Baselines,
     DegenerateReference,
     FunctionalDataset,
-    Grid,
     InsufficientData,
     InvalidConfig,
     InvalidCurve,
@@ -44,13 +43,13 @@ def random_mv(seed, n=30, k=20, d=3):
     rng = np.random.default_rng(seed)
     base = np.sin(2.0 * np.pi * np.linspace(0.0, 1.0, k))
     values = rng.standard_normal((n, k, d)) * 0.3 + base[None, :, None]
-    return MultivariateFunctionalDataset(values, Grid.regular(k))
+    return MultivariateFunctionalDataset(values)
 
 
 def mirrored_mv(n=12, k=8):
     # the second component mirrors the first, so (1,1)/sqrt(2) projects to zero
     first = np.random.default_rng(10).standard_normal((n, k))
-    return MultivariateFunctionalDataset(np.stack([first, -first], axis=2), Grid.regular(k))
+    return MultivariateFunctionalDataset(np.stack([first, -first], axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,7 @@ def test_string_single_dimension_without_scaling_is_identity():
 def test_string_minmax_worked_example():
     # pooled ranges [1, 2] and [10, 20] map the rows onto (0,1,0,1) / (1,0,1,0)
     values = np.array([[[1.0, 10.0], [2.0, 20.0]], [[2.0, 20.0], [1.0, 10.0]]])
-    data = MultivariateFunctionalDataset(values, Grid.regular(2))
+    data = MultivariateFunctionalDataset(values)
     strung = _string_values(data, SCALE_MINMAX)
     np.testing.assert_allclose(strung, [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
 
@@ -164,7 +163,7 @@ def test_string_zero_range_dimension_maps_to_zero():
     values = np.stack(
         [np.random.default_rng(2).normal(size=(4, 5)), np.full((4, 5), 3.0)], axis=2
     )
-    data = MultivariateFunctionalDataset(values, Grid.regular(5))
+    data = MultivariateFunctionalDataset(values)
     strung = _string_values(data, SCALE_MINMAX)
     np.testing.assert_array_equal(strung[:, 5:], np.zeros((4, 5)))
 
@@ -174,14 +173,14 @@ def test_string_minmax_rejects_overflowing_range():
     values = np.random.default_rng(0).standard_normal((20, 10, 2))
     values[5, :, 1] = 1.7e308
     values[6, :, 1] = -1.7e308
-    data = MultivariateFunctionalDataset(values, Grid.regular(10))
+    data = MultivariateFunctionalDataset(values)
     with pytest.raises(InvalidCurve, match="component 1 "):
         _string_values(data, SCALE_MINMAX)
 
 
 def test_string_dimension_order_matters():
     data = random_mv(4, d=2)
-    reordered = MultivariateFunctionalDataset(data.values[:, :, ::-1], data.grid)
+    reordered = MultivariateFunctionalDataset(data.values[:, :, ::-1])
     a = _string_values(data, SCALE_NONE)
     b = _string_values(reordered, SCALE_NONE)
     np.testing.assert_array_equal(a[:, :20], b[:, 20:])
@@ -192,23 +191,11 @@ def test_string_rejects_unknown_scale():
         _string_values(random_mv(0), "zscore")
 
 
-@pytest.mark.parametrize("scale", [SCALE_NONE, SCALE_MINMAX])
-def test_detect_stringed_does_not_depend_on_the_grid_points(scale):
-    regular = random_mv(3, n=20, k=50, d=3)
-    # the stringed curves use the values only, never the grid points
-    seconds = MultivariateFunctionalDataset(regular.values, Grid(np.linspace(0.0, 3600.0, 50)))
-    a, b = detect_stringed(regular, scale), detect_stringed(seconds, scale)
-    assert a.flags == b.flags
-    (_, table_a), = a.tables
-    (_, table_b), = b.tables
-    assert np.stack(table_a.by_type()).tobytes() == np.stack(table_b.by_type()).tobytes()
-
-
 def test_detect_stringed_finds_single_margin_shift():
     data = random_mv(5)
     values = data.values.copy()
     values[7, :, 2] += 9.0
-    shifted = MultivariateFunctionalDataset(values, data.grid)
+    shifted = MultivariateFunctionalDataset(values)
     report = detect_stringed(shifted, SCALE_NONE)
     assert 7 in report.flags.union
     assert report.method == "FST_STR"
@@ -234,7 +221,7 @@ def test_marginal_union_over_margins():
     data = random_mv(7)
     values = data.values.copy()
     values[11, :, 1] += 9.0  # outlying only in the second component
-    shifted = MultivariateFunctionalDataset(values, data.grid)
+    shifted = MultivariateFunctionalDataset(values)
     report = detect_marginal(shifted)
     assert 11 in report.flags.union
 
@@ -270,11 +257,11 @@ def test_marginal_with_constant_component_raises_degenerate_reference():
     values = data.values.copy()
     values[:, :, 1] = 2.5
     with pytest.raises(DegenerateReference, match="reference curve is constant"):
-        detect_marginal(MultivariateFunctionalDataset(values, data.grid))
+        detect_marginal(MultivariateFunctionalDataset(values))
 
 
 def test_stringed_constant_curves_raise_degenerate_reference():
-    data = MultivariateFunctionalDataset(np.full((8, 6, 2), -1.25), Grid.regular(6))
+    data = MultivariateFunctionalDataset(np.full((8, 6, 2), -1.25))
     with pytest.raises(DegenerateReference, match="reference curve is constant"):
         detect_stringed(data)
 
@@ -444,7 +431,7 @@ def test_collect_votes_equals_pipeline_around_degenerate_direction(monkeypatch, 
     rng = np.random.default_rng(23)
     first = rng.standard_normal((12, 8))
     values = np.stack([first, -first, rng.standard_normal((12, 8))], axis=2)
-    data = MultivariateFunctionalDataset(values, Grid.regular(8))
+    data = MultivariateFunctionalDataset(values)
     s = np.sqrt(0.5)
     directions = DirectionSet(
         np.array([[1.0, 0.0, 0.0], [s, s, 0.0], [0.0, 0.0, 1.0], [0.0, s, s], [0.0, 1.0, 0.0]])
@@ -462,7 +449,7 @@ def test_collect_votes_equals_pipeline_with_constant_curve_in_one_dimension():
     rng = np.random.default_rng(24)
     values = rng.standard_normal((15, 10, 1))
     values[3] = 2.0
-    data = MultivariateFunctionalDataset(values, Grid.regular(10))
+    data = MultivariateFunctionalDataset(values)
     directions = DirectionSet(np.array([[1.0], [-1.0]]))
     _, report = assert_votes_match_pipeline(data, directions)
     table = report.tables[0][1]
@@ -472,17 +459,17 @@ def test_collect_votes_equals_pipeline_with_constant_curve_in_one_dimension():
 def test_collect_votes_errors():
     data = random_mv(25, n=6, k=10, d=2)
     directions = generate_directions(4, 2, seed=5)
-    one = MultivariateFunctionalDataset(data.values[:1], data.grid)
+    one = MultivariateFunctionalDataset(data.values[:1])
     with pytest.raises(InsufficientData, match="reference estimation needs at least 2 curves"):
         collect_votes(one, directions)
-    three = MultivariateFunctionalDataset(data.values[:3], data.grid)
+    three = MultivariateFunctionalDataset(data.values[:3])
     with pytest.raises(InsufficientData, match="boxplot cutoff needs at least 4 values, got 3"):
         collect_votes(three, directions)
     with pytest.raises(InvalidCurve, match="unknown location"):
         collect_votes(data, directions, location="mode")
     with pytest.raises(InvalidDirection, match="components"):
         collect_votes(data, generate_directions(4, 3, seed=5))
-    huge = MultivariateFunctionalDataset(np.full((6, 10, 2), 1.5e308), data.grid)
+    huge = MultivariateFunctionalDataset(np.full((6, 10, 2), 1.5e308))
     with np.errstate(over="ignore"), pytest.raises(InvalidCurve, match="infinite"):
         collect_votes(huge, DirectionSet(np.array([[np.sqrt(0.5), np.sqrt(0.5)]])))
 
@@ -491,7 +478,7 @@ def test_collect_votes_errors():
 def test_detect_marginal_rejects_overflowing_index_values():
     values = np.random.default_rng(0).standard_normal((20, 10, 2))
     values[5] = 1.7e308
-    data = MultivariateFunctionalDataset(values, Grid.regular(10))
+    data = MultivariateFunctionalDataset(values)
     with pytest.raises(InvalidCurve, match="overflow"):
         detect_marginal(data)
 
@@ -503,7 +490,7 @@ def default_mv():
 def constant_component_mv():
     values = random_mv(27).values.copy()
     values[:, :, 0] = 1.0
-    return MultivariateFunctionalDataset(values, Grid.regular(20))
+    return MultivariateFunctionalDataset(values)
 
 
 DIAGONAL = DirectionSet(np.array([[np.sqrt(0.5), np.sqrt(0.5)]]))
@@ -543,7 +530,7 @@ def test_unknown_variant_raises_invalid_curve(detect, make_data):
 def test_collect_votes_with_only_degenerate_directions_raises_nothing():
     # three curves are too few for cutoffs, but no direction reaches them
     first = np.random.default_rng(26).standard_normal((3, 8))
-    data = MultivariateFunctionalDataset(np.stack([first, -first], axis=2), Grid.regular(8))
+    data = MultivariateFunctionalDataset(np.stack([first, -first], axis=2))
     s = np.sqrt(0.5)
     directions = DirectionSet(np.array([[s, s], [-s, -s]]))
     votes = collect_votes(data, directions)
@@ -658,7 +645,7 @@ def contaminated_mv(seed=12, n=40, k=25):
     values = data.values.copy()
     truth = {5, 9, 14, 20, 27, 33}
     values[sorted(truth)] += 8.0
-    return MultivariateFunctionalDataset(values, data.grid), truth
+    return MultivariateFunctionalDataset(values), truth
 
 
 def test_detect_projection_flags_clear_shifts():

@@ -9,7 +9,6 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # What a user calls or constructs; everything else is imported from its module.
 PUBLIC_NAMES = {
     "__version__",
-    "Grid",
     "FunctionalDataset",
     "MultivariateFunctionalDataset",
     "reference_from_sample",
@@ -48,7 +47,7 @@ def test_public_names_resolve_once():
 
 def test_public_names_are_the_entry_points():
     assert set(fmuod.__all__) == PUBLIC_NAMES
-    assert len(fmuod.__all__) == 29
+    assert len(fmuod.__all__) == 28
 
 
 def test_readme_imports_only_public_names():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fmuod import Grid, InvalidConfig, SimulationSpec, generate
+from fmuod import InvalidConfig, SimulationSpec, generate
 from fmuod.simulation import (
     MODEL_IDS,
     N_COMPONENTS,
@@ -41,9 +41,8 @@ def test_score_variances_closed_form():
 
 
 def test_eigenfunctions_closed_forms():
-    grid = Grid.regular(17)
-    t = grid.points
-    psi = multivariate_eigenfunctions(grid)
+    t = np.linspace(0.0, 1.0, 17)
+    psi = multivariate_eigenfunctions(t)
     assert psi.shape == (N_COMPONENTS, N_DIMS, 17)
     for j in range(N_DIMS):
         x = t + j
@@ -61,20 +60,18 @@ def test_eigenfunctions_closed_forms():
 
 def test_eigenfunctions_near_orthonormal():
     """Trapezoid Gram of the family is the identity to rounding error."""
-    grid = Grid.regular(50)
-    psi = multivariate_eigenfunctions(grid)
-    w = np.ones(grid.k)
+    psi = multivariate_eigenfunctions(np.linspace(0.0, 1.0, 50))
+    w = np.ones(50)
     w[0] = w[-1] = 0.5
-    gram = np.einsum("adk,bdk,k->ab", psi, psi, w * grid.spacing)
+    gram = np.einsum("adk,bdk,k->ab", psi, psi, w / 49)
     np.testing.assert_allclose(gram, np.eye(N_COMPONENTS), atol=1e-12)
 
 
 def test_plain_sum_gram_error_shrinks_with_refinement():
     errors = []
     for k in (25, 50, 100, 200):
-        grid = Grid.regular(k)
-        psi = multivariate_eigenfunctions(grid)
-        gram = np.einsum("adk,bdk->ab", psi, psi) * grid.spacing
+        psi = multivariate_eigenfunctions(np.linspace(0.0, 1.0, k))
+        gram = np.einsum("adk,bdk->ab", psi, psi) / (k - 1)
         errors.append(np.max(np.abs(gram - np.eye(N_COMPONENTS))))
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
@@ -83,7 +80,7 @@ def test_generate_reuses_one_read_only_family_per_k():
     psi = _eigenfunctions(50)
     assert psi is _eigenfunctions(50)
     assert not psi.flags.writeable
-    assert psi.tobytes() == multivariate_eigenfunctions(Grid.regular(50)).tobytes()
+    assert psi.tobytes() == multivariate_eigenfunctions(np.linspace(0.0, 1.0, 50)).tobytes()
 
 
 def test_main_mean_closed_forms():
@@ -124,6 +121,18 @@ def test_spec_rejects_non_integer_sizes_and_seed(field, value):
         SimulationSpec("M1", **{field: value})
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [{"n": 10**400}, {"k": 10**400}, {"n": 2**62}, {"n": 2**62, "k": 2},
+     {"n": np.int64(2**62), "k": np.int64(2)}, {"n": 2**31, "k": 2**31}],
+    ids=["huge_n", "huge_k", "n_2_62", "n_2_62_k_2", "numpy_n_2_62", "n_k_2_31"],
+)
+def test_spec_rejects_sizes_numpy_cannot_index(sizes):
+    # every size here fails in validation; none is ever allocated
+    with pytest.raises(InvalidConfig, match="exceed what a numpy array can index"):
+        SimulationSpec("M0", **sizes)
+
+
 def test_spec_accepts_numpy_integers():
     spec = SimulationSpec("M1", n=np.int64(10), k=np.int32(20), seed=np.uint64(3))
     assert generate(spec).data.values.shape == (10, 20, N_DIMS)
@@ -160,7 +169,7 @@ def test_outlier_count_is_exact_for_every_share_in_hundredths():
 def test_generate_shapes_and_labels():
     labeled = generate(SimulationSpec("M1", n=50, k=30, contamination=0.1, seed=1))
     assert labeled.data.values.shape == (50, 30, 3)
-    assert labeled.data.grid.k == 30
+    assert labeled.data.k == 30
     assert len(labeled.outlier_indices) == 5
     assert list(labeled.outlier_indices) == sorted(set(labeled.outlier_indices))
     assert set(labeled.outlier_info) == set(labeled.outlier_indices)

@@ -27,7 +27,7 @@ def sample(seed):
 
 
 def reordered(data, order):
-    return MultivariateFunctionalDataset(data.values[order], data.grid)
+    return MultivariateFunctionalDataset(data.values[order])
 
 
 def moved_flags(flags, order):
@@ -72,6 +72,6 @@ def test_projection_votes_follow_curve_order_under_the_mean_reference(data_seed,
 @given(data_seed=SEEDS, order=st.permutations(range(3)))
 def test_permuting_components_leaves_marginal_flags_unchanged(data_seed, order):
     data = sample(data_seed)
-    moved = MultivariateFunctionalDataset(data.values[:, :, order], data.grid)
+    moved = MultivariateFunctionalDataset(data.values[:, :, order])
     config = MethodConfig(method="FST_MAR")
     assert run_method(moved, config, seed=0).flags == run_method(data, config, seed=0).flags
