@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import FlagSet
-from .datasets import MultivariateFunctionalDataset, _array_eq, _check_dataset, _freeze
+from .datasets import MultivariateFunctionalDataset, _array_eq, _check_choice, _check_dataset
+from .datasets import _freeze
 from .errors import InvalidConfig
 from .indices import LOCATION_MEDIAN, LOCATIONS, TYPE_ORDER, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
@@ -69,11 +70,6 @@ SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE = (f"{name}_only" for name in TYPE
 SCOPES = (SCOPE_UNION, SCOPE_SHAPE, SCOPE_AMPLITUDE, SCOPE_MAGNITUDE)
 
 
-def _check_scope(scope: str) -> None:
-    if scope not in SCOPES:
-        raise InvalidConfig(f"unknown scope {scope!r}; use one of {SCOPES}")
-
-
 #: Default number of projection directions.
 DEFAULT_N_DIRECTIONS = 60
 
@@ -92,18 +88,14 @@ class MethodConfig:
     location: str = LOCATION_MEDIAN
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise InvalidConfig(f"unknown method {self.method!r}; use one of {METHODS}")
-        _check_scope(self.report_scope)
+        _check_choice("method", self.method, METHODS)
+        _check_choice("scope", self.report_scope, SCOPES)
         _check_count("n_directions", self.n_directions, "n_directions must be at least 1")
         _check_instance("vote_shares", self.vote_shares, ThresholdTriple)
         _check_instance("baselines", self.baselines, Baselines)
-        if self.scale not in SCALES:
-            raise InvalidConfig(f"unknown scale {self.scale!r}; use one of {SCALES}")
-        if self.variant not in VARIANTS:
-            raise InvalidConfig(f"unknown variant {self.variant!r}; use one of {VARIANTS}")
-        if self.location not in LOCATIONS:
-            raise InvalidConfig(f"unknown location {self.location!r}; use one of {LOCATIONS}")
+        _check_choice("scale", self.scale, SCALES)
+        _check_choice("variant", self.variant, VARIANTS)
+        _check_choice("location", self.location, LOCATIONS)
 
 
 def run_method(
@@ -141,7 +133,7 @@ def _threshold_selector(config: MethodConfig) -> Callable[[VoteMatrix], Threshol
 
 def scoped_flags(flags: FlagSet, scope: str) -> frozenset[int]:
     """The flag set a benchmark scores under the given reporting scope."""
-    _check_scope(scope)
+    _check_choice("scope", scope, SCOPES)
     # The per-type scopes follow TYPE_ORDER after the union.
     return flags.union if scope == SCOPE_UNION else flags.by_type()[SCOPES.index(scope) - 1]
 

@@ -15,8 +15,8 @@ baselines
     Estimate false-vote baseline rates from outlier-free data.
 
 Exit codes: 0 success, 2 input data could not be parsed, 3 invalid
-configuration or usage, 4 numeric degeneracy (constant reference curve,
-tiny sample, bad direction).
+configuration or usage, 4 any other package error: numeric degeneracy
+(constant reference curve, tiny sample, bad direction) or invalid curves.
 """
 from __future__ import annotations
 
@@ -27,14 +27,7 @@ from pathlib import Path
 from . import benchmark as bench
 from . import io as fio
 from ._version import __version__
-from .errors import (
-    DegenerateReference,
-    InsufficientData,
-    InvalidConfig,
-    InvalidCurve,
-    InvalidDirection,
-    ParseError,
-)
+from .errors import FmuodError, InvalidConfig, ParseError
 from .indices import LOCATIONS, TYPE_ORDER, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
     DEFAULT_VOTE_SHARES,
@@ -49,6 +42,8 @@ from .simulation import MODEL_IDS, SimulationSpec, generate
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_DEGENERATE = 4
+#: The exit code of each package error; any other one exits with EXIT_DEGENERATE.
+_EXIT_CODES = {ParseError: EXIT_PARSE, InvalidConfig: EXIT_CONFIG}
 
 #: The one method whose vote shares the ``--tau-*`` flags set.
 TAU_METHOD = bench.METHOD_PROJECTION_FIXED
@@ -319,15 +314,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except FmuodError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DegenerateReference, InvalidDirection, InsufficientData, InvalidCurve) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _EXIT_CODES.get(type(exc), EXIT_DEGENERATE)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import _array, _check_dataset, _is_integer
+from .datasets import _array, _check_choice, _check_dataset, _is_integer
 from .errors import InsufficientData, InvalidConfig, InvalidCurve
 from .indices import VARIANT_ORIGINAL_ABSOLUTE, IndexTable
 
@@ -103,8 +103,7 @@ def boxplot_cutoff(values, rule: str = RULE_TWO_SIDED) -> frozenset[int]:
     from it at all is flagged (a lone ``1e-300`` among zeros is), while a
     sample whose values are all equal flags nothing.
     """
-    if rule not in RULES:
-        raise InvalidConfig(f"unknown cutoff rule {rule!r}; use one of {RULES}")
+    _check_choice("cutoff rule", rule, RULES)
     vals = _array(values, "cutoff values", float)
     if vals.ndim != 1:
         raise InvalidConfig("cutoff expects a one-dimensional value array")

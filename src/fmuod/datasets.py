@@ -17,7 +17,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import FmuodError, InvalidCurve
+from .errors import FmuodError, InvalidConfig, InvalidCurve
 
 
 def _is_integer(value) -> bool:
@@ -28,6 +28,18 @@ def _is_integer(value) -> bool:
 def _is_real(value) -> bool:
     """True for a real number other than ``bool``."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_choice(name: str, value, choices: tuple, error: type[FmuodError] = InvalidConfig) -> None:
+    """Reject a ``value`` of option ``name`` that is not one of ``choices``."""
+    if value not in choices:
+        raise error(f"unknown {name} {value!r}; use one of {choices}")
+
+
+def _check_size(what: str, size: int) -> None:
+    """Reject ``size`` elements, counted from user input, past numpy's index range."""
+    if size > np.iinfo(np.intp).max:
+        raise InvalidConfig(f"{what} values exceed what a numpy array can index")
 
 
 def _array(values, what: str, dtype=None, error: type[FmuodError] = InvalidCurve) -> np.ndarray:

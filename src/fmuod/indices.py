@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datasets import FunctionalDataset, _array, _array_eq, _check_dataset, _freeze
+from .datasets import FunctionalDataset, _array, _array_eq, _check_choice, _check_dataset, _freeze
 from .errors import DegenerateReference, InsufficientData, InvalidCurve
 
 #: Index table variants.  ``standard`` keeps the signed amplitude and
@@ -110,11 +110,6 @@ def _center_references(refs: np.ndarray) -> _ReferenceStack:
     return _ReferenceStack(refs, centered, means, ~centered.any(axis=1))
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise InvalidCurve(f"unknown variant {variant!r}; use one of {VARIANTS}")
-
-
 def reference_from_sample(data: FunctionalDataset, location: str = LOCATION_MEDIAN) -> np.ndarray:
     """Pointwise location estimate of a sample of curves, a read-only ``(k,)`` array.
 
@@ -143,6 +138,7 @@ def _references(samples: np.ndarray, location: str) -> _ReferenceStack:
     n = samples.shape[1]
     if n < 2:
         raise InsufficientData("reference estimation needs at least 2 curves")
+    _check_choice("location", location, LOCATIONS, InvalidCurve)
     with np.errstate(over="ignore"):
         if location == LOCATION_MEDIAN:
             h = n // 2
@@ -151,10 +147,8 @@ def _references(samples: np.ndarray, location: str) -> _ReferenceStack:
                 refs = part[:, h].copy()
             else:
                 refs = (part[:, :h].max(axis=1) + part[:, h]) / 2
-        elif location == LOCATION_MEAN:
-            refs = samples.mean(axis=1)
         else:
-            raise InvalidCurve(f"unknown location {location!r}; use one of {LOCATIONS}")
+            refs = samples.mean(axis=1)
     return _center_references(refs)
 
 
@@ -174,7 +168,7 @@ class IndexTable:
             arr = _freeze(self, name)
             if arr.shape != self.shape.shape or arr.ndim != 1:
                 raise InvalidCurve("index columns must be one-dimensional and equally long")
-        _check_variant(self.variant)
+        _check_choice("variant", self.variant, VARIANTS, InvalidCurve)
 
     def __len__(self) -> int:
         return self.shape.size
@@ -204,7 +198,7 @@ def compute_index_table(
         If the reference curve is constant.
     """
     _check_dataset(data, FunctionalDataset)
-    _check_variant(variant)
+    _check_choice("variant", variant, VARIANTS, InvalidCurve)
     vals = _array(ref, "reference values", float)
     if vals.ndim != 1:
         raise InvalidCurve("expected a single curve (one-dimensional array)")

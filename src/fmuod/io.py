@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .datasets import FunctionalDataset, MultivariateFunctionalDataset, _check_dataset
+from .datasets import FunctionalDataset, MultivariateFunctionalDataset
+from .datasets import _check_choice, _check_dataset
 from .errors import InvalidConfig, ParseError
 from .indices import TYPE_ORDER
 from .multivariate import Baselines, OutlierReport
@@ -299,11 +300,10 @@ def write_long_csv(data: MultivariateFunctionalDataset, path) -> None:
 
 def read_dataset(path, layout: str, delimiter: str = ",") -> MultivariateFunctionalDataset:
     """Read either layout, returning a multivariate dataset (d=1 for wide)."""
+    _check_choice("layout", layout, LAYOUTS)
     if layout == LAYOUT_WIDE:
         return MultivariateFunctionalDataset.from_univariate(read_wide_csv(path, delimiter))
-    if layout == LAYOUT_LONG:
-        return read_long_csv(path, delimiter)
-    raise InvalidConfig(f"unknown layout {layout!r}; use one of {LAYOUTS}")
+    return read_long_csv(path, delimiter)
 
 
 # ---------------------------------------------------------------------------

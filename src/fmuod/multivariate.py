@@ -33,14 +33,15 @@ import numpy as np
 
 from .cutoffs import FlagSet, _fence_masks, rules_for
 from .datasets import FunctionalDataset, MultivariateFunctionalDataset
-from .datasets import _array, _array_eq, _check_dataset, _freeze, _is_integer, _is_real
+from .datasets import _array, _array_eq, _check_choice, _check_dataset, _check_size, _freeze
+from .datasets import _is_integer, _is_real
 from .errors import DegenerateReference, InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
     LOCATION_MEDIAN,
     TYPE_ORDER,
     VARIANT_STANDARD,
+    VARIANTS,
     IndexTable,
-    _check_variant,
     _index_columns,
     _references,
     _ReferenceStack,
@@ -227,6 +228,7 @@ def generate_directions(n_directions: int, n_dims: int, seed: int) -> DirectionS
     """
     _check_count("n_directions", n_directions, "need at least one direction")
     _check_count("n_dims", n_dims, "need at least one dimension")
+    _check_size("n_directions * n_dims", int(n_directions) * int(n_dims))
     vectors = np.empty((n_directions, n_dims))
     for l in range(n_directions):
         rng = child_rng(seed, l)
@@ -333,7 +335,7 @@ def detect_marginal(
 ) -> OutlierReport:
     """Classify per component and join the flags of each type across components."""
     _check_dataset(data, MultivariateFunctionalDataset)
-    _check_variant(variant)
+    _check_choice("variant", variant, VARIANTS, InvalidCurve)
     # A contiguous copy: reductions on the strided view round differently.
     samples = np.ascontiguousarray(data.values.transpose(2, 0, 1))
     config = {"variant": variant, "location": location}
@@ -346,8 +348,7 @@ def detect_marginal(
 
 def _string_values(data: MultivariateFunctionalDataset, scale: str) -> np.ndarray:
     """The ``(n, d * k)`` stringed curves of :func:`detect_stringed`."""
-    if scale not in SCALES:
-        raise InvalidConfig(f"unknown scale {scale!r}; use one of {SCALES}")
+    _check_choice("scale", scale, SCALES)
     pieces = []
     for m in range(data.n_dims):
         block = data.values[:, :, m]
@@ -376,7 +377,7 @@ def detect_stringed(
     a zero-range component becomes identically zero.
     """
     _check_dataset(data, MultivariateFunctionalDataset)
-    _check_variant(variant)
+    _check_choice("variant", variant, VARIANTS, InvalidCurve)
     samples = _string_values(data, scale)[None]
     config = {"scale": scale, "variant": variant, "location": location}
     return _detect_stack("FST_STR", samples, ("stringed",), config)
@@ -460,7 +461,7 @@ def _vote(data, directions, variant, location) -> tuple[VoteMatrix, list, list]:
     """:func:`collect_votes` plus the labels and ``(3, n)`` index columns of the kept projections."""
     _check_dataset(data, MultivariateFunctionalDataset)
     _check_instance("directions", directions, DirectionSet)
-    _check_variant(variant)
+    _check_choice("variant", variant, VARIANTS, InvalidCurve)
     if directions.n_dims != data.n_dims:
         raise InvalidDirection(
             f"directions have {directions.n_dims} components but the data has {data.n_dims}"

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import MultivariateFunctionalDataset, _is_integer, _is_real
+from .datasets import MultivariateFunctionalDataset, _check_choice, _check_size, _is_integer
+from .datasets import _is_real
 from .errors import InvalidConfig
 
 #: Number of components of the simulated curves.
@@ -84,8 +85,7 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in MODEL_IDS:
-            raise InvalidConfig(f"unknown model {self.model!r}; use one of {MODEL_IDS}")
+        _check_choice("model", self.model, MODEL_IDS)
         for name in ("n", "k", "seed"):
             value = getattr(self, name)
             if not _is_integer(value):
@@ -94,8 +94,7 @@ class SimulationSpec:
             raise InvalidConfig("n must be at least 1")
         if self.k < 2:
             raise InvalidConfig("k must be at least 2")
-        if int(self.n) * int(self.k) * N_DIMS > np.iinfo(np.intp).max:
-            raise InvalidConfig(f"n * k * {N_DIMS} values exceed what a numpy array can index")
+        _check_size(f"n * k * {N_DIMS}", int(self.n) * int(self.k) * N_DIMS)
         if not _is_real(self.contamination):
             raise InvalidConfig("contamination must be a number")
         if not (0.0 <= self.contamination <= 1.0):

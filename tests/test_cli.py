@@ -10,8 +10,18 @@ import numpy as np
 import pytest
 
 import fmuod.benchmark
+import fmuod.cli
 import fmuod.multivariate
-from fmuod import FunctionalDataset, MultivariateFunctionalDataset
+from fmuod import (
+    DegenerateReference,
+    FunctionalDataset,
+    InsufficientData,
+    InvalidConfig,
+    InvalidCurve,
+    InvalidDirection,
+    MultivariateFunctionalDataset,
+    ParseError,
+)
 from fmuod.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_PARSE, main
 from fmuod.io import read_baselines, write_long_csv, write_wide_csv
 
@@ -598,14 +608,41 @@ def test_baseline_rate_too_large_for_a_float_exits_config(tmp_path, capsys):
     [("benchmark", "--model", "M1", "--method", "FST_MAR", "--reps", "1", "--n", "1" + "0" * 400),
      ("benchmark", "--model", "M0", "--method", "FST_MAR", "--reps", "1", "--n", str(2**62)),
      ("simulate", "--model", "M1", "--k", "1" + "0" * 400),
-     ("simulate", "--model", "M0", "--n", str(2**62))],
-    ids=["benchmark_huge_n", "benchmark_m0_n_2_62", "simulate_huge_k", "simulate_m0_n_2_62"],
+     ("simulate", "--model", "M0", "--n", str(2**62)),
+     # directions x 3 components
+     ("detect", "--method", "FST_PRJ", "--directions", str(10**19)),
+     ("detect", "--method", "FST_PRJ1", "--directions", str(2**62)),
+     ("benchmark", "--model", "M1", "--method", "FST_PRJ", "--reps", "1", "--n", "20", "--k", "10",
+      "--directions", str(2**62)),
+     ("sweep", "--model", "M1", "--reps", "1", "--n", "20", "--k", "10",
+      "--directions", str(10**19)),
+     ("baselines", "--reps", "1", "--n", "20", "--k", "10", "--directions", str(2**62))],
+    ids=["benchmark_huge_n", "benchmark_m0_n_2_62", "simulate_huge_k", "simulate_m0_n_2_62",
+         "detect_directions_1e19", "detect_directions_2_62", "benchmark_directions_2_62",
+         "sweep_directions_1e19", "baselines_directions_2_62"],
 )
 def test_sizes_numpy_cannot_index_exit_config(tmp_path, capsys, argv):
     # every size here fails in validation; none is ever allocated
+    if argv[0] == "detect":
+        data = simulate_into(tmp_path, n="20", k="10") / "data.csv"
+        argv = (*argv, "--input", str(data), "--layout", "long_multivariate")
     assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
     assert "exceed what a numpy array can index" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ParseError, 2), (InvalidConfig, 3), (InvalidCurve, 4), (InsufficientData, 4),
+     (DegenerateReference, 4), (InvalidDirection, 4)],
+)
+def test_each_package_error_exits_with_its_readme_code(tmp_path, capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error("the message")
+
+    monkeypatch.setattr(fmuod.cli, "cmd_simulate", fail)
+    assert run("simulate", "--model", "M0", "--out", str(tmp_path / "out")) == code
+    assert capsys.readouterr().err == "error: the message\n"
 
 
 def test_an_undefined_fpr_is_printed_as_a_dash_and_written_empty(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from fmuod import (
     FunctionalDataset,
+    InsufficientData,
     InvalidConfig,
     InvalidCurve,
     MethodConfig,
@@ -12,9 +13,9 @@ from fmuod import (
     run_method,
     select_thresholds,
 )
-from fmuod.cutoffs import FlagSet
+from fmuod.cutoffs import FlagSet, boxplot_cutoff
 from fmuod.indices import IndexTable, compute_index_table, reference_from_sample
-from fmuod.io import write_long_csv, write_wide_csv
+from fmuod.io import read_dataset, write_long_csv, write_wide_csv
 from fmuod.multivariate import (
     DirectionSet,
     OutlierReport,
@@ -244,3 +245,84 @@ def test_an_argument_of_the_wrong_kind_is_rejected(name):
     data = generate(SimulationSpec("M1", 20, 10, 0.1, 1)).data
     with pytest.raises(error, match="must be a|expected a"):
         call(data)
+
+
+#: Calls naming an unknown option: (the error, its full message, the call on an M1 dataset).
+UNKNOWN_OPTION_CALLS = {
+    "scope": (
+        InvalidConfig,
+        "unknown scope 'x'; use one of ('union', 'shape_only', 'amplitude_only', 'magnitude_only')",
+        lambda data, path: MethodConfig("FST_MAR", report_scope="x"),
+    ),
+    "method": (
+        InvalidConfig,
+        "unknown method 'x'; use one of ('FST_MAR', 'FST_STR', 'FST_PRJ', 'FST_PRJ1', 'FST_PRJ2')",
+        lambda data, path: MethodConfig("x"),
+    ),
+    "config_scale": (
+        InvalidConfig,
+        "unknown scale 'x'; use one of ('minmax', 'none')",
+        lambda data, path: MethodConfig("FST_MAR", scale="x"),
+    ),
+    "config_variant": (
+        InvalidConfig,
+        "unknown variant 'x'; use one of ('standard', 'original_absolute')",
+        lambda data, path: MethodConfig("FST_MAR", variant="x"),
+    ),
+    "config_location": (
+        InvalidConfig,
+        "unknown location 'x'; use one of ('median', 'mean')",
+        lambda data, path: MethodConfig("FST_MAR", location="x"),
+    ),
+    "cutoff_rule": (
+        InvalidConfig,
+        "unknown cutoff rule 'x'; use one of ('upper_only', 'two_sided')",
+        lambda data, path: boxplot_cutoff([1.0, 2.0, 3.0], rule="x"),
+    ),
+    "index_variant": (
+        InvalidCurve,
+        "unknown variant 'x'; use one of ('standard', 'original_absolute')",
+        lambda data, path: detect_marginal(data, variant="x"),
+    ),
+    "reference_location": (
+        InvalidCurve,
+        "unknown location 'x'; use one of ('median', 'mean')",
+        lambda data, path: reference_from_sample(data.margin(0), "x"),
+    ),
+    "layout": (
+        InvalidConfig,
+        "unknown layout 'x'; use one of ('wide_univariate', 'long_multivariate')",
+        lambda data, path: read_dataset(path, "x"),
+    ),
+    "stringing_scale": (
+        InvalidConfig,
+        "unknown scale 'x'; use one of ('minmax', 'none')",
+        lambda data, path: detect_stringed(data, scale="x"),
+    ),
+    "model": (
+        InvalidConfig,
+        "unknown model 'M9'; use one of ('M0', 'M1', 'M2', 'M3', 'M4', 'M5', 'M6', "
+        "'M1_2', 'M2_2', 'M2_3', 'M3_2', 'M3_3', 'M5_2')",
+        lambda data, path: SimulationSpec("M9"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNKNOWN_OPTION_CALLS)
+def test_an_unknown_option_names_the_choices(tmp_path, name):
+    error, message, call = UNKNOWN_OPTION_CALLS[name]
+    data = generate(SimulationSpec("M1", 20, 10, 0.1, 1)).data
+    path = tmp_path / "data.csv"
+    write_long_csv(data, path)
+    with pytest.raises(error) as caught:
+        call(data, path)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_the_first_fault_of_two_is_reported():
+    data = generate(SimulationSpec("M1", 20, 10, 0.1, 1)).data
+    with pytest.raises(InvalidCurve, match="unknown variant 'x'"):
+        detect_marginal(data, variant="x", location="y")
+    with pytest.raises(InsufficientData, match="at least 2 curves"):
+        reference_from_sample(FunctionalDataset(data.values[:1, :, 0]), "y")

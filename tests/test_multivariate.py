@@ -87,6 +87,19 @@ def test_generate_directions_rejects_non_integer_counts(n_directions, n_dims, fi
         generate_directions(n_directions, n_dims, 0)
 
 
+@pytest.mark.parametrize(
+    "n_directions, n_dims",
+    [(10**19, 3), (2**62, 3), (np.int64(2**62), np.int64(3)), (3, 10**400)],
+    ids=["n_1e19", "n_2_62", "numpy_n_2_62", "huge_dims"],
+)
+def test_generate_directions_rejects_sizes_numpy_cannot_index(n_directions, n_dims):
+    # every size here fails in validation; none is ever allocated
+    with pytest.raises(
+        InvalidConfig, match=r"^n_directions \* n_dims values exceed what a numpy array can index$"
+    ):
+        generate_directions(n_directions, n_dims, 0)
+
+
 def test_generate_directions_accepts_numpy_integers():
     directions = generate_directions(np.int64(4), np.int32(3), 0)
     assert directions.vectors.tobytes() == generate_directions(4, 3, 0).vectors.tobytes()
