@@ -28,7 +28,7 @@ from . import benchmark as bench
 from . import io as fio
 from ._version import __version__
 from .errors import FmuodError, InvalidConfig, ParseError
-from .indices import LOCATIONS, TYPE_ORDER, VARIANT_STANDARD, VARIANTS
+from .indices import LOCATION_MEDIAN, LOCATIONS, TYPE_ORDER, VARIANT_STANDARD, VARIANTS
 from .multivariate import (
     DEFAULT_VOTE_SHARES,
     REFERENCE_BASELINES,
@@ -100,23 +100,6 @@ def _method_config(args) -> tuple[ThresholdTriple, Baselines]:
     shares = ThresholdTriple(*taus) if all(have) else DEFAULT_VOTE_SHARES
     baselines = fio.read_baselines(args.baselines) if args.baselines else REFERENCE_BASELINES
     return shares, baselines
-
-
-def _add_common_detection_flags(sub) -> None:
-    sub.add_argument("--method", required=True, choices=bench.METHODS)
-    sub.add_argument("--directions", type=int, default=bench.DEFAULT_N_DIRECTIONS,
-                     help="number of projection directions (default 60)")
-    sub.add_argument("--tau-shape", type=float, default=None)
-    sub.add_argument("--tau-amplitude", type=float, default=None)
-    sub.add_argument("--tau-magnitude", type=float, default=None)
-    sub.add_argument("--baselines", default=None, metavar="FILE",
-                     help="JSON baseline rates for FST_PRJ (default: bundled values)")
-    sub.add_argument("--scale", choices=SCALES, default=SCALE_NONE,
-                     help="component rescaling before stringing (default none)")
-    sub.add_argument("--variant", choices=VARIANTS, default=VARIANT_STANDARD)
-    sub.add_argument("--location", choices=LOCATIONS, default="median",
-                     help="pointwise reference location (default median)")
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def cmd_detect(args) -> int:
@@ -237,6 +220,54 @@ def cmd_baselines(args) -> int:
     return 0
 
 
+#: Paper-scale simulation defaults: ``n``, ``k``, ``contamination`` and ``seed``.
+_SPEC = SimulationSpec()
+
+#: Every option, declared once: flag -> ``add_argument`` keywords.  A
+#: subcommand takes the flags it names.  ``--reps`` has no shared default:
+#: each subcommand sets its own.
+_OPTIONS = {
+    "--input": dict(required=True),
+    "--layout": dict(required=True, choices=fio.LAYOUTS),
+    "--delimiter": dict(default=fio.DELIMITER),
+    "--model": dict(required=True, choices=MODEL_IDS),
+    "--method": dict(required=True, choices=bench.METHODS),
+    "--shares": dict(default="0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7",
+                     help="comma list; each item a uniform share or s:a:m triple"),
+    "--scope": dict(choices=bench.SCOPES, default=bench.SCOPE_UNION),
+    "--reps": dict(type=int),
+    "--n": dict(type=int, default=_SPEC.n),
+    "--k": dict(type=int, default=_SPEC.k),
+    "--alpha": dict(type=float, default=_SPEC.contamination,
+                    help="contamination share (default %(default)s)"),
+    "--directions": dict(type=int, default=bench.DEFAULT_N_DIRECTIONS,
+                         help="number of projection directions (default %(default)s)"),
+    "--tau-shape": dict(type=float),
+    "--tau-amplitude": dict(type=float),
+    "--tau-magnitude": dict(type=float),
+    "--baselines": dict(metavar="FILE",
+                        help="JSON baseline rates for FST_PRJ (default: bundled values)"),
+    "--scale": dict(choices=SCALES, default=SCALE_NONE,
+                    help="component rescaling before stringing (default %(default)s)"),
+    "--variant": dict(choices=VARIANTS, default=VARIANT_STANDARD),
+    "--location": dict(choices=LOCATIONS, default=LOCATION_MEDIAN,
+                       help="pointwise reference location (default %(default)s)"),
+    "--seed": dict(type=int, default=_SPEC.seed),
+    "--emit-indices": dict(action="store_true",
+                           help="also write the index tables the flags were read from "
+                                "to indices.csv"),
+    "--out": dict(required=True),
+}
+
+#: ``benchmark`` takes comma lists where the other subcommands take one choice.
+_LIST_OPTIONS = {
+    **_OPTIONS,
+    "--model": dict(required=True, help="model id or comma-separated list (e.g. M0,M1)"),
+    "--method": dict(required=True,
+                     help="method or comma-separated list (e.g. FST_MAR,FST_PRJ1)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fmuod",
@@ -245,67 +276,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    detect = subs.add_parser("detect", help="flag outliers in a CSV dataset")
-    detect.add_argument("--input", required=True)
-    detect.add_argument("--layout", required=True, choices=fio.LAYOUTS)
-    detect.add_argument("--delimiter", default=",")
-    _add_common_detection_flags(detect)
-    detect.add_argument("--emit-indices", action="store_true",
-                        help="also write the index tables the flags were read from "
-                             "to indices.csv")
-    detect.add_argument("--out", required=True)
-    detect.set_defaults(func=cmd_detect)
+    def command(name, func, summary, flags, options=_OPTIONS, **defaults):
+        sub = subs.add_parser(name, help=summary)
+        for flag in flags:
+            sub.add_argument(flag, **options[flag])
+        sub.set_defaults(func=func, **defaults)
 
-    simulate = subs.add_parser("simulate", help="draw a labelled synthetic dataset")
-    simulate.add_argument("--model", required=True, choices=MODEL_IDS)
-    simulate.add_argument("--n", type=int, default=100)
-    simulate.add_argument("--k", type=int, default=50)
-    simulate.add_argument("--alpha", type=float, default=0.1,
-                          help="contamination share (default 0.1)")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--out", required=True)
-    simulate.set_defaults(func=cmd_simulate)
-
-    run = subs.add_parser("benchmark", help="detection rates on simulation models")
-    run.add_argument("--model", required=True,
-                     help="model id or comma-separated list (e.g. M0,M1)")
-    run.add_argument("--method", required=True,
-                     help="method or comma-separated list (e.g. FST_MAR,FST_PRJ1)")
-    run.add_argument("--scope", choices=bench.SCOPES, default=bench.SCOPE_UNION)
-    run.add_argument("--reps", type=int, default=50)
-    run.add_argument("--n", type=int, default=100)
-    run.add_argument("--k", type=int, default=50)
-    run.add_argument("--alpha", type=float, default=0.1)
-    run.add_argument("--directions", type=int, default=bench.DEFAULT_N_DIRECTIONS)
-    run.add_argument("--baselines", default=None, metavar="FILE")
-    run.add_argument("--scale", choices=SCALES, default=SCALE_NONE)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--out", required=True)
-    run.set_defaults(func=cmd_benchmark)
-
-    sweep = subs.add_parser("sweep", help="score a grid of vote-share thresholds")
-    sweep.add_argument("--model", required=True, choices=MODEL_IDS)
-    sweep.add_argument("--shares",
-                       default="0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7",
-                       help="comma list; each item a uniform share or s:a:m triple")
-    sweep.add_argument("--scope", choices=bench.SCOPES, default=bench.SCOPE_UNION)
-    sweep.add_argument("--reps", type=int, default=20)
-    sweep.add_argument("--n", type=int, default=100)
-    sweep.add_argument("--k", type=int, default=50)
-    sweep.add_argument("--alpha", type=float, default=0.1)
-    sweep.add_argument("--directions", type=int, default=bench.DEFAULT_N_DIRECTIONS)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--out", required=True)
-    sweep.set_defaults(func=cmd_sweep)
-
-    base = subs.add_parser("baselines", help="estimate false-vote baseline rates")
-    base.add_argument("--reps", type=int, default=50)
-    base.add_argument("--n", type=int, default=100)
-    base.add_argument("--k", type=int, default=50)
-    base.add_argument("--directions", type=int, default=bench.DEFAULT_N_DIRECTIONS)
-    base.add_argument("--seed", type=int, default=0)
-    base.add_argument("--out", required=True)
-    base.set_defaults(func=cmd_baselines)
+    command("detect", cmd_detect, "flag outliers in a CSV dataset",
+            ("--input", "--layout", "--delimiter", "--method", "--directions", "--tau-shape",
+             "--tau-amplitude", "--tau-magnitude", "--baselines", "--scale", "--variant",
+             "--location", "--seed", "--emit-indices", "--out"))
+    command("simulate", cmd_simulate, "draw a labelled synthetic dataset",
+            ("--model", "--n", "--k", "--alpha", "--seed", "--out"))
+    command("benchmark", cmd_benchmark, "detection rates on simulation models",
+            ("--model", "--method", "--scope", "--reps", "--n", "--k", "--alpha",
+             "--directions", "--baselines", "--scale", "--seed", "--out"),
+            _LIST_OPTIONS, reps=50)
+    command("sweep", cmd_sweep, "score a grid of vote-share thresholds",
+            ("--model", "--shares", "--scope", "--reps", "--n", "--k", "--alpha",
+             "--directions", "--seed", "--out"), reps=20)
+    command("baselines", cmd_baselines, "estimate false-vote baseline rates",
+            ("--reps", "--n", "--k", "--directions", "--seed", "--out"), reps=50)
     return parser
 
 

@@ -37,8 +37,8 @@ def _check_choice(name: str, value, choices: tuple, error: type[FmuodError] = In
 
 
 def _check_size(what: str, size: int) -> None:
-    """Reject ``size`` elements, counted from user input, past numpy's index range."""
-    if size > np.iinfo(np.intp).max:
+    """Reject ``size`` float64 values, counted from user input, whose bytes pass numpy's limit."""
+    if 8 * size > np.iinfo(np.intp).max:
         raise InvalidConfig(f"{what} values exceed what a numpy array can index")
 
 

@@ -31,6 +31,7 @@ from .simulation import LabeledDataset
 LAYOUT_WIDE = "wide_univariate"
 LAYOUT_LONG = "long_multivariate"
 LAYOUTS = (LAYOUT_WIDE, LAYOUT_LONG)
+DELIMITER = ","
 
 REPORT_SCHEMA_VERSION = 1
 BASELINES_SCHEMA_VERSION = 1
@@ -109,7 +110,7 @@ def _read_rows(path, delimiter: str) -> list[tuple[int, list[str]]]:
 # wide layout: one row per curve
 
 
-def read_wide_csv(path, delimiter: str = ",") -> FunctionalDataset:
+def read_wide_csv(path, delimiter: str = DELIMITER) -> FunctionalDataset:
     """Read curves from a CSV with one row per curve.
 
     All cells must be finite numbers.  A leading row none of whose cells
@@ -155,7 +156,7 @@ def _long_header(n_dims: int) -> list[str]:
     return ["curve_id", "t_index"] + [f"dim_{m + 1}" for m in range(n_dims)]
 
 
-def read_long_csv(path, delimiter: str = ",") -> MultivariateFunctionalDataset:
+def read_long_csv(path, delimiter: str = DELIMITER) -> MultivariateFunctionalDataset:
     """Read a complete (curve, grid point, component) lattice.
 
     The header must be ``curve_id,t_index,dim_1,...,dim_d``; curve and grid
@@ -298,7 +299,7 @@ def write_long_csv(data: MultivariateFunctionalDataset, path) -> None:
             )
 
 
-def read_dataset(path, layout: str, delimiter: str = ",") -> MultivariateFunctionalDataset:
+def read_dataset(path, layout: str, delimiter: str = DELIMITER) -> MultivariateFunctionalDataset:
     """Read either layout, returning a multivariate dataset (d=1 for wide)."""
     _check_choice("layout", layout, LAYOUTS)
     if layout == LAYOUT_WIDE:

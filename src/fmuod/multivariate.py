@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import FlagSet, _fence_masks, rules_for
-from .datasets import FunctionalDataset, MultivariateFunctionalDataset
-from .datasets import _array, _array_eq, _check_choice, _check_dataset, _check_size, _freeze
+from .datasets import MultivariateFunctionalDataset
+from .datasets import _array_eq, _check_choice, _check_dataset, _check_size, _freeze
 from .datasets import _is_integer, _is_real
 from .errors import DegenerateReference, InvalidConfig, InvalidCurve, InvalidDirection
 from .indices import (
@@ -239,21 +239,6 @@ def generate_directions(n_directions: int, n_dims: int, seed: int) -> DirectionS
                 break
         vectors[l] = v / norm
     return DirectionSet(vectors, seed=seed)
-
-
-def project(data: MultivariateFunctionalDataset, direction) -> FunctionalDataset:
-    """Pointwise projection of every curve onto one direction vector."""
-    _check_dataset(data, MultivariateFunctionalDataset)
-    vec = _array(direction, "direction", float, InvalidDirection)
-    if vec.ndim != 1 or vec.size != data.n_dims:
-        raise InvalidDirection(
-            f"direction must have {data.n_dims} components, got shape {vec.shape}"
-        )
-    if not np.all(np.isfinite(vec)):
-        raise InvalidDirection("direction contains NaN or infinite entries")
-    if float(np.sqrt(vec @ vec)) < MIN_DIRECTION_NORM:
-        raise InvalidDirection("direction norm is (near-)zero")
-    return FunctionalDataset(_project_rows(data.values, vec[None])[0])
 
 
 def _project_rows(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -94,7 +94,9 @@ class SimulationSpec:
             raise InvalidConfig("n must be at least 1")
         if self.k < 2:
             raise InvalidConfig("k must be at least 2")
-        _check_size(f"n * k * {N_DIMS}", int(self.n) * int(self.k) * N_DIMS)
+        # generate also draws an (n, N_COMPONENTS) array of scores
+        _check_size(f"n * max(k * {N_DIMS}, {N_COMPONENTS})",
+                    int(self.n) * max(int(self.k) * N_DIMS, N_COMPONENTS))
         if not _is_real(self.contamination):
             raise InvalidConfig("contamination must be a number")
         if not (0.0 <= self.contamination <= 1.0):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -473,6 +474,68 @@ def test_version_flag(capsys):
     assert "fmuod" in capsys.readouterr().out
 
 
+#: Per subcommand: a minimal argv, what it parses to (without ``func``), and
+#: the option strings its ``--help`` lists.  Recorded from the parser as it
+#: stood before its options were declared once each.
+PARSED = {
+    "detect": (
+        ("--input", "data.csv", "--layout", "long_multivariate", "--method", "FST_PRJ",
+         "--out", "out"),
+        {"command": "detect", "input": "data.csv", "layout": "long_multivariate",
+         "delimiter": ",", "method": "FST_PRJ", "directions": 60, "tau_shape": None,
+         "tau_amplitude": None, "tau_magnitude": None, "baselines": None, "scale": "none",
+         "variant": "standard", "location": "median", "seed": 0, "emit_indices": False,
+         "out": "out"},
+        ["--baselines", "--delimiter", "--directions", "--emit-indices", "--help", "--input",
+         "--layout", "--location", "--method", "--out", "--scale", "--seed", "--tau-amplitude",
+         "--tau-magnitude", "--tau-shape", "--variant"],
+    ),
+    "simulate": (
+        ("--model", "M1", "--out", "out"),
+        {"command": "simulate", "model": "M1", "n": 100, "k": 50, "alpha": 0.1, "seed": 0,
+         "out": "out"},
+        ["--alpha", "--help", "--k", "--model", "--n", "--out", "--seed"],
+    ),
+    "benchmark": (
+        ("--model", "M1", "--method", "FST_MAR", "--out", "out"),
+        {"command": "benchmark", "model": "M1", "method": "FST_MAR", "scope": "union",
+         "reps": 50, "n": 100, "k": 50, "alpha": 0.1, "directions": 60, "baselines": None,
+         "scale": "none", "seed": 0, "out": "out"},
+        ["--alpha", "--baselines", "--directions", "--help", "--k", "--method", "--model",
+         "--n", "--out", "--reps", "--scale", "--scope", "--seed"],
+    ),
+    "sweep": (
+        ("--model", "M1", "--out", "out"),
+        {"command": "sweep", "model": "M1",
+         "shares": "0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7", "scope": "union",
+         "reps": 20, "n": 100, "k": 50, "alpha": 0.1, "directions": 60, "seed": 0,
+         "out": "out"},
+        ["--alpha", "--directions", "--help", "--k", "--model", "--n", "--out", "--reps",
+         "--scope", "--seed", "--shares"],
+    ),
+    "baselines": (
+        ("--out", "out"),
+        {"command": "baselines", "reps": 50, "n": 100, "k": 50, "directions": 60, "seed": 0,
+         "out": "out"},
+        ["--directions", "--help", "--k", "--n", "--out", "--reps", "--seed"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", PARSED)
+def test_each_subcommand_parses_and_lists_its_recorded_options(capsys, command):
+    argv, parsed, options = PARSED[command]
+    namespace = vars(fmuod.cli.build_parser().parse_args([command, *argv]))
+    assert namespace.pop("func") is getattr(fmuod.cli, f"cmd_{command}")
+    assert namespace == parsed
+    assert all(type(namespace[key]) is type(value) for key, value in parsed.items())
+    with pytest.raises(SystemExit) as err:
+        run(command, "--help")
+    assert err.value.code == 0
+    listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert sorted(listed) == options
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -609,16 +672,21 @@ def test_baseline_rate_too_large_for_a_float_exits_config(tmp_path, capsys):
      ("benchmark", "--model", "M0", "--method", "FST_MAR", "--reps", "1", "--n", str(2**62)),
      ("simulate", "--model", "M1", "--k", "1" + "0" * 400),
      ("simulate", "--model", "M0", "--n", str(2**62)),
+     # n x 9 scores: n x k x 3 values would fit in bytes, the scores do not
+     ("simulate", "--model", "M0", "--n", str(np.iinfo(np.intp).max // 48), "--k", "2"),
      # directions x 3 components
      ("detect", "--method", "FST_PRJ", "--directions", str(10**19)),
      ("detect", "--method", "FST_PRJ1", "--directions", str(2**62)),
+     # fits numpy's index range but not its byte limit
+     ("detect", "--method", "FST_PRJ", "--directions", str(2**60)),
      ("benchmark", "--model", "M1", "--method", "FST_PRJ", "--reps", "1", "--n", "20", "--k", "10",
       "--directions", str(2**62)),
      ("sweep", "--model", "M1", "--reps", "1", "--n", "20", "--k", "10",
       "--directions", str(10**19)),
      ("baselines", "--reps", "1", "--n", "20", "--k", "10", "--directions", str(2**62))],
     ids=["benchmark_huge_n", "benchmark_m0_n_2_62", "simulate_huge_k", "simulate_m0_n_2_62",
-         "detect_directions_1e19", "detect_directions_2_62", "benchmark_directions_2_62",
+         "simulate_scores_past_bytes", "detect_directions_1e19", "detect_directions_2_62",
+         "detect_directions_2_60_bytes", "benchmark_directions_2_62",
          "sweep_directions_1e19", "baselines_directions_2_62"],
 )
 def test_sizes_numpy_cannot_index_exit_config(tmp_path, capsys, argv):

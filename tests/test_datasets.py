@@ -25,7 +25,6 @@ from fmuod.multivariate import (
     detect_projection,
     detect_stringed,
     generate_directions,
-    project,
 )
 from fmuod.simulation import SimulationSpec, generate
 
@@ -200,7 +199,6 @@ WRONG_KIND_CALLS = {
         MultivariateFunctionalDataset,
         lambda data, path: detect_projection(data, generate_directions(4, 3, seed=0)),
     ),
-    "project": (MultivariateFunctionalDataset, lambda data, path: project(data, [1.0, 0.0, 0.0])),
     "write_long_csv": (MultivariateFunctionalDataset, write_long_csv),
     "run_method": (
         MultivariateFunctionalDataset,

@@ -124,8 +124,10 @@ def test_spec_rejects_non_integer_sizes_and_seed(field, value):
 @pytest.mark.parametrize(
     "sizes",
     [{"n": 10**400}, {"k": 10**400}, {"n": 2**62}, {"n": 2**62, "k": 2},
-     {"n": np.int64(2**62), "k": np.int64(2)}, {"n": 2**31, "k": 2**31}],
-    ids=["huge_n", "huge_k", "n_2_62", "n_2_62_k_2", "numpy_n_2_62", "n_k_2_31"],
+     {"n": np.int64(2**62), "k": np.int64(2)}, {"n": 2**31, "k": 2**31},
+     {"n": 2**58, "k": 2}, {"n": np.iinfo(np.intp).max // 48, "k": 2}],
+    ids=["huge_n", "huge_k", "n_2_62", "n_2_62_k_2", "numpy_n_2_62", "n_k_2_31",
+         "n_2_58_k_2_bytes", "scores_past_bytes"],
 )
 def test_spec_rejects_sizes_numpy_cannot_index(sizes):
     # every size here fails in validation; none is ever allocated
